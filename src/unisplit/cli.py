@@ -254,8 +254,9 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
         series = _spectral_conservation(s, grid, v, h, n_steps, sample_every)
         extra = [
             f"scheme {s.name} h {h:.17g} n_steps {n_steps}",
-            "comparator: symmetric-conjugate scheme composed with its conjugate"
-            if s.name.endswith("_pal") else "scheme: catalog entry",
+            "scheme: catalog entry" if s.name in schemes.catalog_names() else
+            "comparator: order-2 palindromic scheme with complex potential "
+            "weights, not symmetric-conjugate",
         ]
         _write(
             out / f"conservation_{s.name}.csv",
@@ -274,6 +275,7 @@ def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
         series = experiments.DiagnosticSeries(
             abscissa="h", columns=("fft_count", "max_energy_err")
         )
+        skipped = []
         for h in sorted(h_grid):
             n_steps = max(1, round(t_final / h))
             counter = spectral.FftCounter()
@@ -286,12 +288,14 @@ def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
                     worst = max(
                         worst, abs(spectral.observables(grid, v, u)["energy"] - e0)
                     )
-            except linalg.NumericalError:
-                continue  # unstable cell; skip the point
+            except linalg.NumericalError as exc:
+                # unstable cell: no data row, but the header records it
+                skipped.append(f"skipped h {h:.17g}: {exc}")
+                continue
             series.add(h, {"fft_count": counter.count, "max_energy_err": worst})
         _write(
             out / f"efficiency_{name}.csv",
-            series.to_csv(_header(cfg_hash, [f"t_final {t_final:.17g}"])),
+            series.to_csv(_header(cfg_hash, [f"t_final {t_final:.17g}", *skipped])),
         )
         print(f"{name}: {len(series.rows)} efficiency points")
 

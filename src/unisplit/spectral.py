@@ -11,8 +11,9 @@ carry the quadrature weight dx.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +38,11 @@ __all__ = [
 
 OVERFLOW_LIMIT = 1e12
 
+#: Squared norm below which no entry of a state can exceed OVERFLOW_LIMIT.
+#: The relative margin covers the rounding of the sum of |u_j|^2, at most
+#: about N * 2^-53, which stays below 1e-9 for N up to about 9e6.
+_NORM2_SAFE = OVERFLOW_LIMIT**2 * (1.0 - 1e-9)
+
 
 @dataclass
 class FftCounter:
@@ -46,10 +52,6 @@ class FftCounter:
 
     def reset(self) -> None:
         self.count = 0
-
-
-#: Module-level counter used when no explicit counter is passed.
-GLOBAL_FFT_COUNTER = FftCounter()
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,16 @@ def _check_length(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
 
 
 def dft(grid: SpectralGrid, u, counter: FftCounter | None = None) -> np.ndarray:
-    """Unitary forward DFT; increments the FFT counter by one."""
-    (counter or GLOBAL_FFT_COUNTER).count += 1
+    """Unitary forward DFT; increments ``counter``, if given, by one."""
+    if counter is not None:
+        counter.count += 1
     return np.fft.fft(_check_length(grid, u), norm="ortho")
 
 
 def idft(grid: SpectralGrid, u, counter: FftCounter | None = None) -> np.ndarray:
-    """Unitary inverse DFT; increments the FFT counter by one."""
-    (counter or GLOBAL_FFT_COUNTER).count += 1
+    """Unitary inverse DFT; increments ``counter``, if given, by one."""
+    if counter is not None:
+        counter.count += 1
     return np.fft.ifft(_check_length(grid, u), norm="ortho")
 
 
@@ -124,9 +128,42 @@ def initial_gaussian(grid: SpectralGrid) -> np.ndarray:
     return u / grid.norm(u)
 
 
+@functools.lru_cache(maxsize=1)
+def _half_k2(grid: SpectralGrid) -> np.ndarray:
+    """k^2/2 on ``grid``, read-only; -k^2/2 is the Fourier symbol of A."""
+    half_k2 = grid.k**2 / 2.0
+    half_k2.flags.writeable = False
+    return half_k2
+
+
 def _a_action(grid: SpectralGrid, u: np.ndarray, counter: FftCounter | None) -> np.ndarray:
     """A u = idft(-k^2/2 * dft(u)); A is the minus kinetic matrix."""
-    return idft(grid, (-grid.k**2 / 2.0) * dft(grid, u, counter), counter)
+    return idft(grid, -_half_k2(grid) * dft(grid, u, counter), counter)
+
+
+@functools.lru_cache(maxsize=1)
+def _factor_phases(
+    scheme: SplittingScheme,
+    grid: SpectralGrid,
+    h: float,
+    v_dtype: str,
+    v_shape: tuple[int, ...],
+    v_bytes: bytes,
+) -> tuple[tuple[str, complex, np.ndarray], ...]:
+    """(op, coeff, phase) for each factor of ``scheme``; phases are read-only.
+
+    The potential arrives as its dtype, shape and bytes so that the cache
+    key holds its values, not the identity of the caller's array.
+    """
+    v_pot = np.frombuffer(v_bytes, dtype=v_dtype).reshape(v_shape)
+    k2 = _half_k2(grid)
+    factors = []
+    for f in scheme.factors:
+        c = f.coeff
+        phase = np.exp(-1j * h * c * (k2 if f.op == "A" else v_pot))
+        phase.flags.writeable = False
+        factors.append((f.op, c, phase))
+    return tuple(factors)
 
 
 def split_step(
@@ -136,30 +173,40 @@ def split_step(
     u,
     h: float,
     counter: FftCounter | None = None,
-    clip: float | None = None,
 ) -> np.ndarray:
     """One scheme step, matrix-free.
 
     A-factor with coefficient c: u <- idft(exp(-i h c k^2/2) * dft(u));
     B-factor: u <- exp(-i h c V(x)) * u  (B = -V diagonal).  Costs two FFTs
-    per A-factor.  ``clip`` optionally bounds |V| (off by default; the PT well
-    is bounded).
+    per A-factor.
+
+    The phases of all factors are built once per (scheme, grid, h, values,
+    dtype and shape of ``v_pot``), and only the most recent such set is kept:
+    every caller steps one key many times in a row.  Changing ``v_pot`` in
+    place therefore yields fresh phases.
+
+    After every factor the step raises :class:`linalg.NumericalError` if an
+    entry of the state is not finite or exceeds ``OVERFLOW_LIMIT`` in
+    modulus.  Since max_j |u_j|^2 <= sum_j |u_j|^2, a squared norm below
+    ``OVERFLOW_LIMIT**2`` (less a margin for the rounding of the sum) proves
+    that no entry exceeds the limit; the exact peak is computed only when
+    that bound fails, or is NaN or infinite.
     """
     state = _check_length(grid, u)
-    v_eff = np.clip(v_pot, -clip, clip) if clip is not None else v_pot
-    k2 = grid.k**2 / 2.0
-    for f in scheme.factors:
-        c = f.coeff
-        if f.op == "A":
-            state = idft(grid, np.exp(-1j * h * c * k2) * dft(grid, state, counter),
-                         counter)
+    v_pot = np.asarray(v_pot)
+    phases = _factor_phases(scheme, grid, h, v_pot.dtype.str, v_pot.shape,
+                            v_pot.tobytes())
+    for op, c, phase in phases:
+        if op == "A":
+            state = idft(grid, phase * dft(grid, state, counter), counter)
         else:
-            state = state * np.exp(-1j * h * c * v_eff)
-        peak = float(np.max(np.abs(state)))
-        if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
-            raise linalg.NumericalError(
-                f"state overflow in factor ({f.op}, {c}) at h={h}"
-            )
+            state = state * phase
+        if not np.vdot(state, state).real <= _NORM2_SAFE:
+            peak = float(np.max(np.abs(state)))
+            if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
+                raise linalg.NumericalError(
+                    f"state overflow in factor ({op}, {c}) at h={h}"
+                )
     return state
 
 

@@ -129,6 +129,26 @@ def test_conservation_smoke_with_comparator(tmp_path, capsys):
     assert (tmp_path / "conservation_S31.csv").exists()
     written = list(tmp_path.glob("conservation_pal2_*.csv"))
     assert len(written) == 1
+    assert "# comparator: order-2 palindromic" in written[0].read_text()
+    assert "# scheme: catalog entry" in (tmp_path / "conservation_S31.csv").read_text()
+    capsys.readouterr()
+
+
+def test_efficiency_records_skipped_cells(tmp_path, capsys):
+    raw = {
+        "experiment": "EFFICIENCY",
+        "schemes": ["S4"],
+        "grid": {"n": 64},
+        "h_values": [0.05, 1.3],
+        "t_final": 2.6,
+    }
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    lines = (tmp_path / "efficiency_S4.csv").read_text().splitlines()
+    skipped = [line for line in lines if line.startswith("# skipped h 1.3: ")]
+    assert len(skipped) == 1 and "state overflow" in skipped[0]
+    rows = [line for line in lines if not line.startswith("#")]
+    assert rows[0] == "h,fft_count,max_energy_err"
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.050000000000000003"]
     capsys.readouterr()
 
 

@@ -98,6 +98,128 @@ def test_split_step_matches_dense_oracle(pt64, name, rng):
     assert grid.norm(stepped - dense) < 1e-11
 
 
+def _reference_split_step(scheme, grid, v_pot, u, h, counter=None):
+    """The uncached loop: every phase rebuilt and the exact peak checked
+    after every factor."""
+    state = np.asarray(u, dtype=complex)
+    k2 = grid.k**2 / 2.0
+    for f in scheme.factors:
+        c = f.coeff
+        if f.op == "A":
+            state = idft(grid, np.exp(-1j * h * c * k2) * dft(grid, state, counter),
+                         counter)
+        else:
+            state = state * np.exp(-1j * h * c * v_pot)
+        peak = float(np.max(np.abs(state)))
+        if not np.isfinite(peak) or peak > spectral.OVERFLOW_LIMIT:
+            raise linalg.NumericalError(
+                f"state overflow in factor ({f.op}, {c}) at h={h}"
+            )
+    return state
+
+
+def _run(step, scheme, grid, v, h, n_steps, u=None):
+    """(final state bytes, FFT count, (step, message) of an overflow or None)."""
+    counter = FftCounter()
+    u = initial_gaussian(grid) if u is None else u
+    for n in range(n_steps):
+        try:
+            u = step(scheme, grid, v, u, h, counter)
+        except linalg.NumericalError as exc:
+            return u.tobytes(), counter.count, (n, str(exc))
+    return u.tobytes(), counter.count, None
+
+
+@pytest.mark.parametrize(
+    "scheme", schemes.catalog() + [schemes.drift_comparator()], ids=lambda s: s.name
+)
+def test_split_step_bitwise_equals_uncached_loop(pt64, scheme):
+    # h = 1.3 overflows S31, S32, S4, B3s3 and the comparator within 60 steps
+    grid, v, _, _, _ = pt64
+    for h in (0.05, 100.0 / 909.0, 0.4, 1.3):
+        assert _run(split_step, scheme, grid, v, h, 60) == \
+            _run(_reference_split_step, scheme, grid, v, h, 60)
+
+
+def _phase_cache_misses():
+    return spectral._factor_phases.cache_info().misses
+
+
+def test_phase_cache_follows_potential_values(pt64):
+    grid, v_fixture, _, _, _ = pt64
+    s = schemes.get_scheme("NB5s4")
+    u = initial_gaussian(grid)
+    v = v_fixture.copy()
+    before = split_step(s, grid, v, u, 0.1)
+    assert np.array_equal(before, _reference_split_step(s, grid, v, u, 0.1))
+    # equal values in a new array reuse the cached phases
+    misses = _phase_cache_misses()
+    assert np.array_equal(split_step(s, grid, v.copy(), u, 0.1), before)
+    assert _phase_cache_misses() == misses
+    # the same array changed in place is a new potential
+    v *= 1.5
+    after = split_step(s, grid, v, u, 0.1)
+    assert _phase_cache_misses() == misses + 1
+    assert np.array_equal(after, _reference_split_step(s, grid, v, u, 0.1))
+    assert not np.array_equal(after, before)
+
+
+@pytest.mark.parametrize("change", ["h", "grid", "dtype"])
+def test_phase_cache_keys_on_h_grid_and_dtype(pt64, change):
+    grid, v, _, _, _ = pt64
+    s = schemes.get_scheme("NB5s4")
+    h = 0.1
+    spectral._factor_phases.cache_clear()
+    split_step(s, grid, v, initial_gaussian(grid), h)
+    if change == "h":
+        h = 0.1 + 2**-40
+    elif change == "grid":
+        grid = SpectralGrid(n=64, x_min=-9.0, x_max=9.0)
+        v = pt_potential(grid)
+    else:
+        v = v.astype(complex)
+    u = initial_gaussian(grid)
+    misses = _phase_cache_misses()
+    got = split_step(s, grid, v, u, h)
+    assert _phase_cache_misses() == misses + 1
+    assert np.array_equal(got, _reference_split_step(s, grid, v, u, h))
+
+
+def test_cached_arrays_are_read_only(pt64):
+    grid, v, _, _, _ = pt64
+    s = schemes.get_scheme("strang")
+    split_step(s, grid, v, initial_gaussian(grid), 0.1)
+    phases = spectral._factor_phases(s, grid, 0.1, v.dtype.str, v.shape, v.tobytes())
+    assert all(not phase.flags.writeable for _, _, phase in phases)
+    half_k2 = spectral._half_k2(grid)
+    assert not half_k2.flags.writeable
+    # the A symbol -k^2/2 keeps its bits when k^2/2 is negated instead
+    assert np.array_equal(-half_k2, -grid.k**2 / 2.0)
+
+
+@pytest.mark.parametrize("spikes", [
+    [1.0 - 1e-12],           # peak just below the limit, norm above the safe bound
+    [1.0 + 1e-12],           # peak just above the limit
+    [0.8, 0.8],              # norm above the limit, peak below it
+    [np.sqrt(1.0 - 2e-9)],   # norm just below the safe bound: the fast path
+    [np.nan],
+    [np.inf],
+])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_overflow_check_at_the_margin(grid64, spikes):
+    # B-factors with V = 0 leave the state exactly unchanged, so the first
+    # check sees the spikes as they are
+    s = schemes.drift_comparator()
+    v = np.zeros(64)
+    u = np.zeros(64, dtype=complex)
+    u[10:10 + len(spikes)] = np.array(spikes) * spectral.OVERFLOW_LIMIT
+    got = _run(split_step, s, grid64, v, 1e-3, 1, u)
+    assert got == _run(_reference_split_step, s, grid64, v, 1e-3, 1, u)
+    assert (got[2] is not None) == (spikes[0] > 1.0 or not np.isfinite(spikes[0]))
+    if got[2] is not None:
+        assert got[2] == (0, "state overflow in factor (B, (0.25+0.25j)) at h=0.001")
+
+
 def test_split_step_overflow(pt256):
     grid, v = pt256
     bad = schemes.drift_comparator(beta=0.25 + 0.25j)
