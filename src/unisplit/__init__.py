@@ -2,11 +2,11 @@
 
 Library layout:
 
-- :mod:`unisplit.linalg`: dense complex linear algebra (expm, eigensolvers, solves).
+- :mod:`unisplit.linalg`: dense complex linear algebra (expm, eigensolvers).
 - :mod:`unisplit.schemes`: the scheme catalog, expansion and transformation of
   coefficient sequences.
-- :mod:`unisplit.propagator`: dense and matrix-free application of a scheme to a
-  concrete split H = A + B, plus reversibility/order diagnostics.
+- :mod:`unisplit.propagator`: dense step matrices of a scheme on a concrete
+  split H = A + B, plus reversibility/order diagnostics.
 - :mod:`unisplit.experiments`: seeded random-matrix classes, unit-modulus sweeps,
   spectral projectors and long-time conservation runs.
 - :mod:`unisplit.spectral`: pseudo-spectral 1-D Schroedinger backend with the

@@ -249,11 +249,15 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
     h = cfg.h_values[0] if cfg.h_values else 100.0 / 909.0
     t_final = cfg.t_final if cfg.t_final is not None else 1e4
     n_steps = cfg.n_steps or max(1, round(t_final / h))
-    sample_every = max(cfg.sample_every, max(1, n_steps // 2000))
+    # at most about 2000 samples per run
+    sample_every = max(cfg.sample_every, n_steps // 2000, 1)
+    raised = ([f"sample_every raised from {cfg.sample_every} to {sample_every}"]
+              if sample_every != cfg.sample_every else [])
     for s in _conservation_schemes(cfg):
         series = _spectral_conservation(s, grid, v, h, n_steps, sample_every)
         extra = [
             f"scheme {s.name} h {h:.17g} n_steps {n_steps}",
+            *raised,
             "scheme: catalog entry" if s.name in schemes.catalog_names() else
             "comparator: order-2 palindromic scheme with complex potential "
             "weights, not symmetric-conjugate",
@@ -378,9 +382,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="JSON experiment config")
     parser.add_argument("--out", type=Path, default=None, help="artifact directory")
     parser.add_argument("--seed", type=int, default=None, help="override seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep cells (accepted for "
-                             "interface compatibility; runs are deterministic)")
     args = parser.parse_args(argv)
 
     if args.config is not None:

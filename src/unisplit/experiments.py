@@ -199,10 +199,20 @@ def dh_sweep(
     failures: list[float] = []
     h_star = None
     exceeded = False
-    for h in sorted(float(x) for x in h_grid):
-        try:
-            omega = linalg.eig_general(step_matrix(scheme, a, b, h))
-        except linalg.NumericalError:
+    h_sorted = sorted(float(x) for x in h_grid)
+    stack = step_matrix(scheme, a, b, np.array(h_sorted))
+    try:
+        omegas = list(linalg.eig_general(stack))
+    except linalg.NumericalError:
+        # redo per matrix, so that only the failing points are dropped
+        omegas = []
+        for s_h in stack:
+            try:
+                omegas.append(linalg.eig_general(s_h))
+            except linalg.NumericalError:
+                omegas.append(None)
+    for h, omega in zip(h_sorted, omegas):
+        if omega is None:
             failures.append(h)
             continue
         d_h = float(np.max(np.abs(np.abs(omega) - 1.0)))

@@ -15,17 +15,11 @@ __all__ = [
     "NumericalError",
     "as_matrix",
     "as_vector",
-    "adjoint",
-    "commutator",
     "frobenius",
-    "solve",
     "expm",
     "eig_general",
     "eig_symmetric",
 ]
-
-#: Default condition-number bound above which `solve` refuses to proceed.
-DEFAULT_COND_LIMIT = 1e12
 
 #: Default tolerance for the symmetry check in `eig_symmetric`.
 DEFAULT_SYMMETRY_TOL = 1e-12
@@ -36,21 +30,20 @@ class DimensionError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Numerically singular solve or failed iteration; carries diagnostics."""
-
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition
+    """Failed iteration or unusable numerical result."""
 
 
-def as_matrix(m, square: bool = False) -> np.ndarray:
-    """Validate and return ``m`` as a 2-D complex array with finite entries."""
+def as_matrix(m, square: bool = False, stack: bool = False) -> np.ndarray:
+    """Validate and return ``m`` as a 2-D complex array with finite entries.
+
+    With ``stack``, a 3-D stack of matrices is accepted as well.
+    """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim == 3):
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix has non-finite entries")
-    if square and a.shape[0] != a.shape[1]:
+    if square and a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -65,38 +58,9 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def commutator(m, n) -> np.ndarray:
-    """[M, N] = MN - NM."""
-    a, b = as_matrix(m, square=True), as_matrix(n, square=True)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
 def frobenius(m) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(m, dtype=complex), "fro"))
-
-
-def solve(m, rhs, cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Solve M x = rhs, refusing numerically singular systems.
-
-    Raises :class:`NumericalError` carrying the 2-norm condition estimate when
-    it exceeds ``cond_limit``.
-    """
-    a = as_matrix(m, square=True)
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise NumericalError(
-            f"matrix numerically singular (cond={cond:.3e} > {cond_limit:.3e})",
-            condition=cond,
-        )
-    b = np.asarray(rhs, dtype=complex)
-    return np.linalg.solve(a, b)
 
 
 def expm(m) -> np.ndarray:
@@ -105,8 +69,11 @@ def expm(m) -> np.ndarray:
 
 
 def eig_general(m) -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a general complex matrix, unordered."""
-    a = as_matrix(m, square=True)
+    """All eigenvalues (with multiplicity) of a general complex matrix, unordered.
+
+    A (k, n, n) stack gives a (k, n) array, one row per matrix.
+    """
+    a = as_matrix(m, square=True, stack=True)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR iteration did not converge

@@ -1,14 +1,12 @@
 """Application of a splitting scheme to a concrete split H = A + B.
 
-Provides the dense step matrix S_h for spectral diagnostics, a matrix-free
-path driven by caller-supplied exponential actions, and the reversibility /
-convergence-order diagnostics built on top of them.
+Provides the dense step matrix S_h, for one step size or a whole grid of them,
+and the reversibility / convergence-order diagnostics built on top of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,72 +14,78 @@ from unisplit import linalg
 from unisplit.schemes import SplittingScheme
 
 __all__ = [
-    "StepOperatorPair",
-    "dense_operator_pair",
     "step_matrix",
-    "apply_scheme",
     "exact_propagator",
     "reversibility_report",
     "OrderFit",
+    "fit_loglog",
     "empirical_order",
     "eigenphase_error",
 ]
 
-
-@dataclass
-class StepOperatorPair:
-    """Matrix-free exponential actions e^{zA} u and e^{zB} u with cost counters.
-
-    The counters are per-instance state; create one pair per run.
-    """
-
-    exp_a: Callable[[complex, np.ndarray], np.ndarray]
-    exp_b: Callable[[complex, np.ndarray], np.ndarray]
-    a_applications: int = 0
-    b_applications: int = 0
+#: Eigenvector condition number above which an operator's factors are built
+#: with `linalg.expm` rather than from its eigendecomposition.  A defective or
+#: nearly defective operator (such as a nilpotent B) has no usable eigenbasis.
+_EIG_COND_LIMIT = 1e3
 
 
-def dense_operator_pair(a, b) -> StepOperatorPair:
-    """Exact dense actions, for oracles and small problems."""
-    am = linalg.as_matrix(a, square=True)
-    bm = linalg.as_matrix(b, square=True)
-    return StepOperatorPair(
-        exp_a=lambda z, u: linalg.expm(z * am) @ u,
-        exp_b=lambda z, u: linalg.expm(z * bm) @ u,
-    )
+def _eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(lam, V, V^-1) with m = V diag(lam) V^-1, or None past the cond guard."""
+    if not m.imag.any() and np.array_equal(m.real, m.real.T):
+        lam, v = np.linalg.eigh(m.real)
+        return lam, v, v.T
+    lam, v = np.linalg.eig(m)
+    if not np.linalg.cond(v) <= _EIG_COND_LIMIT:
+        return None
+    return lam, v, np.linalg.inv(v)
 
 
-def step_matrix(scheme: SplittingScheme, a, b, h: float) -> np.ndarray:
-    """Dense step operator: product of expm(i h c Op) over the factor sequence.
+def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
+    """Dense step operator: product of exp(i h c Op) over the factor sequence.
 
-    The first factor in application order multiplies the state first, so it is
-    the rightmost term of the accumulated product.
+    ``h`` is a scalar, giving the (n, n) step matrix, or a 1-D array, giving
+    the (len(h), n, n) stack of step matrices, one per entry.  The first factor
+    in application order multiplies the state first, so it is the rightmost
+    term of the accumulated product.
+
+    Each operator is diagonalised once per call, and its factors are
+    V diag(exp(i h c lam)) V^-1 for the whole stack at once; an operator whose
+    eigenvectors fail the condition guard has its factors built by
+    `linalg.expm`, one per h.
     """
     am = linalg.as_matrix(a, square=True)
     bm = linalg.as_matrix(b, square=True)
     if am.shape != bm.shape:
         raise linalg.DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
-    s = np.eye(am.shape[0], dtype=complex)
+    h_arr = np.asarray(h, dtype=float)
+    if h_arr.ndim > 1:
+        raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
+    ih = 1j * h_arr.reshape(-1)
+    ops = {"A": am, "B": bm}
+    bases = {"A": _eigenbasis(am), "B": _eigenbasis(bm)}
+    # the product so far is V_in @ s, with V_in the eigenvectors of the
+    # operator named by `basis_of` (the identity when it is None)
+    s, basis_of = None, None
     for f in scheme.factors:
-        op = am if f.op == "A" else bm
-        s = linalg.expm(1j * h * f.coeff * op) @ s
-    return s
-
-
-def apply_scheme(
-    scheme: SplittingScheme, ops: StepOperatorPair, u, h: float
-) -> np.ndarray:
-    """One scheme step of the state ``u`` via the matrix-free actions."""
-    v = linalg.as_vector(u)
-    for f in scheme.factors:
-        z = 1j * h * f.coeff
-        if f.op == "A":
-            v = ops.exp_a(z, v)
-            ops.a_applications += 1
-        else:
-            v = ops.exp_b(z, v)
-            ops.b_applications += 1
-    return v
+        z = ih * f.coeff
+        basis = bases[f.op]
+        if basis is None:
+            if basis_of is not None:
+                s, basis_of = bases[basis_of][1] @ s, None
+            e = np.empty((len(z),) + am.shape, dtype=complex)
+            for i, zi in enumerate(z):
+                e[i] = linalg.expm(zi * ops[f.op])
+            s = e if s is None else e @ s
+            continue
+        lam, _, v_inv = basis
+        if basis_of != f.op:
+            t = v_inv if basis_of is None else v_inv @ bases[basis_of][1]
+            s = t if s is None else t @ s
+            basis_of = f.op
+        s = np.exp(z[:, None] * lam)[:, :, None] * s
+    if basis_of is not None:
+        s = bases[basis_of][1] @ s
+    return s[0] if h_arr.ndim == 0 else s
 
 
 def exact_propagator(h_matrix, t: float) -> np.ndarray:
@@ -98,10 +102,8 @@ def reversibility_report(
     ``sc3_residual`` = ||conj(S_h)^T - S_{-h}||_F (meaningful when A and B are
     real symmetric; reported unconditionally as a diagnostic).
     """
-    s_h = step_matrix(scheme, a, b, h)
-    n = s_h.shape[0]
-    sc2 = linalg.frobenius(s_h.conj() @ s_h - np.eye(n))
-    s_back = step_matrix(scheme, a, b, -h)
+    s_h, s_back = step_matrix(scheme, a, b, np.array([h, -h]))
+    sc2 = linalg.frobenius(s_h.conj() @ s_h - np.eye(s_h.shape[0]))
     sc3 = linalg.frobenius(s_h.conj().T - s_back)
     return {"sc2_residual": sc2, "sc3_residual": sc3}
 
@@ -118,9 +120,11 @@ class OrderFit:
     excluded: tuple[float, ...]  # h values outside the fit window
 
 
-def _fit_loglog(
+def fit_loglog(
     h_values, errors, err_min: float = 1e-12, err_max: float = 1e-1
 ) -> OrderFit:
+    """Fit log(error) against log(h) over the points with error in
+    [err_min, err_max]; the others are reported in ``excluded``."""
     h_arr = np.asarray(h_values, dtype=float)
     e_arr = np.asarray(errors, dtype=float)
     keep = (e_arr >= err_min) & (e_arr <= err_max)
@@ -151,11 +155,12 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
     am = linalg.as_matrix(a, square=True)
     bm = linalg.as_matrix(b, square=True)
     hm = am + bm
+    h_arr = np.asarray(h_grid, dtype=float)
     errors = [
-        linalg.frobenius(step_matrix(scheme, am, bm, h) - exact_propagator(hm, h))
-        for h in h_grid
+        linalg.frobenius(s_h - exact_propagator(hm, h))
+        for s_h, h in zip(step_matrix(scheme, am, bm, h_arr), h_arr)
     ]
-    return _fit_loglog(h_grid, errors)
+    return fit_loglog(h_arr, errors)
 
 
 def eigenphase_error(

@@ -230,7 +230,6 @@ def conjugate_scheme(scheme: SplittingScheme, name: str | None = None) -> Splitt
 
 def reverse_scheme(scheme: SplittingScheme, name: str | None = None) -> SplittingScheme:
     """Reverse the factor order (application order flipped)."""
-    kind = scheme.kind
     first = scheme.factors[-1].op
     kind = "ABA" if first == "A" else "BAB"
     return SplittingScheme(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from unisplit import linalg
-from unisplit.propagator import OrderFit, _fit_loglog
+from unisplit.propagator import OrderFit, fit_loglog
 from unisplit.schemes import SplittingScheme
 
 __all__ = [
@@ -292,4 +292,4 @@ def pt_empirical_order(
         approx = split_step(scheme, grid, v_pot, u, float(h))
         exact = reference_solution(h_dense, u, float(h))
         errors.append(grid.norm(approx - exact))
-    return _fit_loglog(h_grid, errors)
+    return fit_loglog(h_grid, errors)

@@ -219,7 +219,7 @@ def test_criterion_06_eigenphase_superconvergence():
     h_grid = np.geomspace(0.05, 0.4, 8)
     phases = [propagator.eigenphase_error(s31, a, b, float(h), warn=False)
               for h in h_grid]
-    phase_slope = propagator._fit_loglog(h_grid, phases).slope
+    phase_slope = propagator.fit_loglog(h_grid, phases).slope
     local_slope = propagator.empirical_order(s31, a, b, h_grid).slope
     ok = abs(phase_slope - 5.0) <= 0.3 and abs(local_slope - 4.0) <= 0.3
     report("6 eigenphase superconvergence", ok,

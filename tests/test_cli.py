@@ -134,6 +134,27 @@ def test_conservation_smoke_with_comparator(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sample_every, raised", [(1, True), (3, False)])
+def test_conservation_records_raised_sample_every(tmp_path, capsys,
+                                                  sample_every, raised):
+    """Runs are thinned to about 2000 samples, and the header says so."""
+    raw = {
+        "experiment": "CONSERVATION",
+        "schemes": ["S31"],
+        "grid": {"n": 64},
+        "h_values": [0.05],
+        "n_steps": 6000,
+        "sample_every": sample_every,
+        "include_comparator": False,
+    }
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    lines = (tmp_path / "conservation_S31.csv").read_text().splitlines()
+    assert ("# sample_every raised from 1 to 3" in lines) is raised
+    rows = [line for line in lines if not line.startswith("#")]
+    assert len(rows) == 1 + 2000
+    capsys.readouterr()
+
+
 def test_efficiency_records_skipped_cells(tmp_path, capsys):
     raw = {
         "experiment": "EFFICIENCY",

@@ -118,6 +118,33 @@ def test_dh_sweep_threshold_detection(sym_split):
     assert d[-1] > 1e-6
 
 
+def test_dh_sweep_records_eigensolver_failures(sym_split, monkeypatch):
+    """A failing batched eigensolve is redone per matrix; only the points
+    that fail again are dropped, and each is recorded."""
+    _, a, b = sym_split
+    h_grid = np.geomspace(0.01, 1.0, 6)
+    eig = linalg.eig_general
+    calls = []
+
+    def flaky(m):
+        calls.append(np.ndim(m))
+        # the stack fails, then the matrices of h_grid[1] and h_grid[3]
+        if len(calls) in (1, 3, 5):
+            raise linalg.NumericalError("no convergence")
+        return eig(m)
+
+    monkeypatch.setattr(linalg, "eig_general", flaky)
+    series = dh_sweep(schemes.get_scheme("S31"), a, b, h_grid)
+    assert calls == [3] + [2] * len(h_grid)
+    assert series.meta["failures"] == [h_grid[1], h_grid[3]]
+    assert np.array_equal(series.x, np.delete(h_grid, [1, 3]))
+    monkeypatch.undo()
+    full = dh_sweep(schemes.get_scheme("S31"), a, b, h_grid)
+    assert full.meta["failures"] == []
+    assert np.array_equal(series.column("D_h"),
+                          np.delete(full.column("D_h"), [1, 3]))
+
+
 def test_dh_sweep_no_threshold_on_generic_matrices():
     _, a, b = generate(spec_of("ARBITRARY"))
     series = dh_sweep(schemes.get_scheme("S31"), a, b, np.geomspace(0.01, 1, 10))

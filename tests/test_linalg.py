@@ -33,40 +33,9 @@ def test_as_vector():
         linalg.as_vector([np.inf, 0.0])
 
 
-def test_adjoint_and_commutator(rng):
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    n = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(linalg.adjoint(m), m.conj().T)
-    c = linalg.commutator(m, n)
-    assert np.allclose(c, -(linalg.commutator(n, m)))
-    assert np.allclose(linalg.commutator(m, m), 0.0)
-    with pytest.raises(linalg.DimensionError):
-        linalg.commutator(m, np.eye(3))
-
-
 def test_frobenius(rng):
     m = rng.standard_normal((5, 3))
     assert linalg.frobenius(m) == pytest.approx(np.sqrt((m**2).sum()))
-
-
-def test_solve_roundtrip(rng):
-    m = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
-    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    assert np.allclose(linalg.solve(m, m @ x), x)
-
-
-def test_solve_refuses_singular():
-    m = np.ones((4, 4))
-    with pytest.raises(linalg.NumericalError) as info:
-        linalg.solve(m, np.ones(4))
-    assert info.value.condition is None or info.value.condition > linalg.DEFAULT_COND_LIMIT
-
-
-def test_solve_cond_limit_override(rng):
-    # well conditioned, but a tiny limit must still reject it
-    m = rng.standard_normal((5, 5)) + 4.0 * np.eye(5)
-    with pytest.raises(linalg.NumericalError):
-        linalg.solve(m, np.ones(5), cond_limit=1.0)
 
 
 def test_expm_matches_taylor_series(rng):
@@ -89,6 +58,17 @@ def test_eig_general_known_values():
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     w = sorted(linalg.eig_general(m), key=lambda z: z.imag)
     assert np.allclose(w, [-1j, 1j])
+
+
+def test_eig_general_stack(rng):
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    w = linalg.eig_general(stack)
+    assert w.shape == (3, 4)
+    assert np.array_equal(w, [linalg.eig_general(m) for m in stack])
+    with pytest.raises(linalg.DimensionError):
+        linalg.eig_general(np.zeros((2, 3, 4)))
+    with pytest.raises(linalg.DimensionError):
+        linalg.as_matrix(stack)  # stacks only where asked for
 
 
 def test_eig_symmetric_contract(rng):

@@ -1,24 +1,42 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from unisplit import linalg, propagator, schemes
+from unisplit import experiments, linalg, schemes
 from unisplit.propagator import (
     OrderFit,
-    apply_scheme,
-    dense_operator_pair,
     eigenphase_error,
     empirical_order,
     exact_propagator,
+    fit_loglog,
     reversibility_report,
     step_matrix,
 )
+
+# the 28-point grid of criterion 4
+H_SWEEP = np.geomspace(0.01, 10.0, 28)
 
 
 def two_level_split():
     a = np.array([[1.0, 0.4], [0.4, -0.2]])
     b = np.array([[0.3, -0.1], [-0.1, 0.8]])
     return a, b
+
+
+def expm_product(scheme, a, b, h):
+    """The step matrix as one scipy.linalg.expm per factor."""
+    s = np.eye(a.shape[0], dtype=complex)
+    for f in scheme.factors:
+        s = scipy.linalg.expm(1j * h * f.coeff * (a if f.op == "A" else b)) @ s
+    return s
+
+
+def nilpotent(rng, n):
+    """A rank-one u w^T with w^T u = 0, so that its square is zero."""
+    u, w = rng.standard_normal(n), rng.standard_normal(n)
+    w -= (w @ u) / (u @ u) * u
+    return np.outer(u, w)
 
 
 def test_step_matrix_application_order():
@@ -42,15 +60,66 @@ def test_step_matrix_strang_oracle():
                        oracle, atol=1e-14)
 
 
-def test_apply_scheme_matches_step_matrix(sym_split, rng):
+@pytest.mark.parametrize("cls", ["SYM_SIMPLE", "ARBITRARY", "defective"])
+def test_step_matrix_stack_equals_scalar_calls(cls, rng):
+    if cls == "defective":
+        a, b = two_level_split()[0], nilpotent(rng, 2)
+    else:
+        spec = experiments.MatrixClassSpec(experiments.MatrixClass[cls], n=10)
+        _, a, b = experiments.generate(spec)
+    for s in schemes.catalog():
+        stack = step_matrix(s, a, b, H_SWEEP)
+        assert stack.shape == (len(H_SWEEP),) + a.shape
+        assert np.array_equal(stack, [step_matrix(s, a, b, h) for h in H_SWEEP])
+
+
+@pytest.mark.parametrize("cls", [m.name for m in experiments.MatrixClass])
+def test_step_matrix_matches_expm_product(cls):
+    spec = experiments.MatrixClassSpec(experiments.MatrixClass[cls], n=10, seed=0)
+    _, a, b = experiments.generate(spec)
+    for s in schemes.catalog():
+        stack = step_matrix(s, a, b, H_SWEEP)
+        for s_h, h in zip(stack, H_SWEEP):
+            ref = expm_product(s, a, b, h)
+            assert linalg.frobenius(s_h - ref) <= 1e-12 * linalg.frobenius(ref)
+
+
+def test_step_matrix_defective_operators_take_expm_path(rng, monkeypatch):
+    s = schemes.get_scheme("NB11s6")
+    h = np.array([0.1, 0.7])
+    # both operators defective: every factor is an expm, as in the product
+    a, b = nilpotent(rng, 5), nilpotent(rng, 5)
+    for s_h, hk in zip(step_matrix(s, a, b, h), h):
+        assert np.array_equal(s_h, expm_product(s, a, b, hk))
+    # only B defective: its factors, and no others, go through expm
+    m = rng.standard_normal((5, 5))
+    a = (m + m.T) / 2
+    calls = []
+    expm = linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda x: calls.append(x) or expm(x))
+    stack = step_matrix(s, a, b, h)
+    assert len(calls) == len(h) * sum(f.op == "B" for f in s.factors)
+    for s_h, hk in zip(stack, h):
+        ref = expm_product(s, a, b, hk)
+        assert linalg.frobenius(s_h - ref) <= 1e-12 * linalg.frobenius(ref)
+
+
+def test_step_matrix_rejects_2d_h(sym_split):
     _, a, b = sym_split
-    u = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    s = schemes.get_scheme("NB5s4")
-    ops = dense_operator_pair(a, b)
-    direct = apply_scheme(s, ops, u, 0.2)
-    assert np.allclose(direct, step_matrix(s, a, b, 0.2) @ u, atol=1e-12)
-    assert ops.a_applications == sum(1 for f in s.factors if f.op == "A")
-    assert ops.b_applications == sum(1 for f in s.factors if f.op == "B")
+    with pytest.raises(linalg.DimensionError):
+        step_matrix(schemes.get_scheme("S31"), a, b, np.ones((2, 2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+       h=st.floats(0.01, 0.5))
+def test_real_split_reversibility_property(seed, n, h):
+    """conj(S_h) S_h = I on any real split, for every catalog scheme."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, (2, n, n))
+    for s in schemes.catalog():
+        s_h = step_matrix(s, a, b, h)
+        assert linalg.frobenius(s_h.conj() @ s_h - np.eye(n)) <= 1e-10
 
 
 def test_exact_propagator_unitary(sym_split):
@@ -105,7 +174,7 @@ def test_fit_window_exclusions(sym_split):
 
 def test_fit_requires_two_points():
     with pytest.raises(linalg.NumericalError):
-        propagator._fit_loglog([0.1, 0.2], [1e-15, 5e-15])
+        fit_loglog([0.1, 0.2], [1e-15, 5e-15])
 
 
 def test_eigenphase_error_zero_h(sym_split):
