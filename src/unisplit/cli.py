@@ -98,6 +98,8 @@ class ExperimentConfig:
             h_values = [float(h) for h in h_values]
             if any(h <= 0 for h in h_values):
                 raise ConfigError("h values must be positive")
+            if len(set(h_values)) != len(h_values):
+                raise ConfigError(f"h values must be distinct, got {h_values}")
         return cls(
             experiment=exp,
             schemes=names,
@@ -220,9 +222,10 @@ def _spectral_conservation(
     for n in range(1, n_steps + 1):
         try:
             u = spectral.split_step(scheme, grid, v, u, h, counter)
-        except linalg.NumericalError:
+        except linalg.NumericalError as exc:
             # drifting schemes eventually overflow; keep what was recorded
             series.meta["aborted_at_step"] = n
+            series.meta["aborted"] = str(exc)
             break
         if n % sample_every == 0 or n == n_steps:
             obs = spectral.observables(grid, v, u)
@@ -255,17 +258,24 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
               if sample_every != cfg.sample_every else [])
     for s in _conservation_schemes(cfg):
         series = _spectral_conservation(s, grid, v, h, n_steps, sample_every)
+        aborted = ([f"aborted at step {series.meta['aborted_at_step']}: "
+                    f"{series.meta['aborted']}"]
+                   if "aborted" in series.meta else [])
         extra = [
             f"scheme {s.name} h {h:.17g} n_steps {n_steps}",
             *raised,
             "scheme: catalog entry" if s.name in schemes.catalog_names() else
             "comparator: order-2 palindromic scheme with complex potential "
             "weights, not symmetric-conjugate",
+            *aborted,
         ]
         _write(
             out / f"conservation_{s.name}.csv",
             series.to_csv(_header(cfg_hash, extra)),
         )
+        if len(series.rows) < 2:  # no slope to fit
+            print(f"{s.name}: energy drift n/a ({len(series.rows)} samples)")
+            continue
         drift = experiments.drift_slope(series, "energy_err") * h  # per step
         print(f"{s.name}: energy drift {drift:.3e} per step")
 

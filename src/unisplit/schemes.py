@@ -81,6 +81,13 @@ class SplittingScheme:
             if t1 == t2:
                 raise SchemeError(f"{self.name}: adjacent factors share tag {t1}")
 
+    def __hash__(self) -> int:
+        # Equal schemes have equal names, so this agrees with __eq__; a str
+        # keeps its hash once computed.  The generated hash re-hashed every
+        # Factor, and split_step looks its scheme up in the phase cache on
+        # every call.
+        return hash(self.name)
+
     def coefficients(self, op: str) -> tuple[complex, ...]:
         return tuple(f.coeff for f in self.factors if f.op == op)
 

@@ -43,6 +43,9 @@ OVERFLOW_LIMIT = 1e12
 #: about N * 2^-53, which stays below 1e-9 for N up to about 9e6.
 _NORM2_SAFE = OVERFLOW_LIMIT**2 * (1.0 - 1e-9)
 
+#: Relative margin on an upper bound of a squared norm; see ``split_step``.
+_NORM2_MARGIN = 1.0 + 1e-9
+
 
 @dataclass
 class FftCounter:
@@ -99,18 +102,27 @@ def _check_length(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     return v
 
 
-def dft(grid: SpectralGrid, u, counter: FftCounter | None = None) -> np.ndarray:
-    """Unitary forward DFT; increments ``counter``, if given, by one."""
+def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary forward DFT; increments ``counter``, if given, by one.
+
+    With ``out`` (a complex array of length N) the result is written there
+    and ``out`` is returned; the bits are the same.
+    """
     if counter is not None:
         counter.count += 1
-    return np.fft.fft(_check_length(grid, u), norm="ortho")
+    return np.fft.fft(_check_length(grid, u), norm="ortho", out=out)
 
 
-def idft(grid: SpectralGrid, u, counter: FftCounter | None = None) -> np.ndarray:
-    """Unitary inverse DFT; increments ``counter``, if given, by one."""
+def idft(grid: SpectralGrid, u, counter: FftCounter | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary inverse DFT; increments ``counter``, if given, by one.
+
+    ``out`` is as for :func:`dft`.
+    """
     if counter is not None:
         counter.count += 1
-    return np.fft.ifft(_check_length(grid, u), norm="ortho")
+    return np.fft.ifft(_check_length(grid, u), norm="ortho", out=out)
 
 
 def pt_potential(
@@ -149,8 +161,14 @@ def _factor_phases(
     v_dtype: str,
     v_shape: tuple[int, ...],
     v_bytes: bytes,
-) -> tuple[tuple[str, complex, np.ndarray], ...]:
-    """(op, coeff, phase) for each factor of ``scheme``; phases are read-only.
+) -> tuple[tuple[str, complex, np.ndarray, float], ...]:
+    """(op, coeff, phase, gain) for each factor of ``scheme``; phases are
+    read-only.
+
+    ``gain = m*m*(1 + 1e-9)`` with ``m = max|phase|`` bounds the factor's
+    growth of the squared norm (see :func:`split_step`).  It is a float
+    product, not ``m**2``, so that a huge ``m`` gives ``inf`` instead of
+    raising ``OverflowError``.
 
     The potential arrives as its dtype, shape and bytes so that the cache
     key holds its values, not the identity of the caller's array.
@@ -162,7 +180,8 @@ def _factor_phases(
         c = f.coeff
         phase = np.exp(-1j * h * c * (k2 if f.op == "A" else v_pot))
         phase.flags.writeable = False
-        factors.append((f.op, c, phase))
+        m = float(np.max(np.abs(phase)))
+        factors.append((f.op, c, phase, m * m * _NORM2_MARGIN))
     return tuple(factors)
 
 
@@ -174,11 +193,14 @@ def split_step(
     h: float,
     counter: FftCounter | None = None,
 ) -> np.ndarray:
-    """One scheme step, matrix-free.
+    """One scheme step, matrix-free; returns a new array, ``u`` is not changed.
 
     A-factor with coefficient c: u <- idft(exp(-i h c k^2/2) * dft(u));
     B-factor: u <- exp(-i h c V(x)) * u  (B = -V diagonal).  Costs two FFTs
-    per A-factor.
+    per A-factor.  The step works in two arrays of its own: an A-factor
+    transforms the state into the spare array, multiplies it by the phase
+    there and transforms it back into the state; a B-factor multiplies the
+    state in place.
 
     The phases of all factors are built once per (scheme, grid, h, values,
     dtype and shape of ``v_pot``), and only the most recent such set is kept:
@@ -187,26 +209,59 @@ def split_step(
 
     After every factor the step raises :class:`linalg.NumericalError` if an
     entry of the state is not finite or exceeds ``OVERFLOW_LIMIT`` in
-    modulus.  Since max_j |u_j|^2 <= sum_j |u_j|^2, a squared norm below
-    ``OVERFLOW_LIMIT**2`` (less a margin for the rounding of the sum) proves
-    that no entry exceeds the limit; the exact peak is computed only when
-    that bound fails, or is NaN or infinite.
+    modulus.  Since max_j |u_j|^2 <= sum_j |u_j|^2, a squared norm at most
+    ``_NORM2_SAFE`` (``OVERFLOW_LIMIT**2`` less a margin for the rounding of
+    the sum) proves that no entry exceeds the limit; the exact peak is
+    computed only when the computed squared norm is above it, or NaN or
+    infinite.
+
+    The squared norm itself is computed only when a cheaper upper bound on
+    it fails.  The bound starts at the input's computed squared norm times
+    ``1 + 1e-9`` and is multiplied by each factor's cached gain,
+    ``max|phase|^2 (1 + 1e-9)``.  It stays an upper bound on the true
+    squared norm of the computed state because:
+
+    * a B-factor rounds each product phase_j * u_j by a few units of
+      2^-53, so |new_j| <= max|phase| |u_j| (1 + 4 * 2^-53);
+    * an A-factor's two FFTs are unitary up to a relative error of
+      O(2^-53 log2 N) in the 2-norm, and its multiply is bounded as a
+      B-factor's is;
+    * the computed norm the bound starts from is within N * 2^-53 of the
+      true one, as for ``_NORM2_SAFE``.
+
+    Each of these is far inside the 1e-9 margins for any N that fits in
+    memory, and the absolute errors of underflow (about 1e-308 per entry)
+    are nothing beside ``_NORM2_SAFE``.  So when the bound is
+    at most ``_NORM2_SAFE`` no entry can exceed the limit, and the checks it
+    skips are exactly checks that could not raise.  A NaN or infinite bound
+    fails every ``<=``, so the squared norm is then computed; when it is,
+    the bound restarts from it times ``1 + 1e-9``.  Whether, where and with
+    which message the step raises is therefore unchanged.
     """
-    state = _check_length(grid, u)
+    # a copy: the caller's array when it is already complex
+    state = np.array(_check_length(grid, u))
+    spare = np.empty_like(state)
     v_pot = np.asarray(v_pot)
     phases = _factor_phases(scheme, grid, h, v_pot.dtype.str, v_pot.shape,
                             v_pot.tobytes())
-    for op, c, phase in phases:
+    bound = float(np.vdot(state, state).real) * _NORM2_MARGIN
+    for op, c, phase, gain in phases:
         if op == "A":
-            state = idft(grid, phase * dft(grid, state, counter), counter)
+            dft(grid, state, counter, out=spare)
+            np.multiply(phase, spare, out=spare)
+            idft(grid, spare, counter, out=state)
         else:
-            state = state * phase
-        if not np.vdot(state, state).real <= _NORM2_SAFE:
-            peak = float(np.max(np.abs(state)))
-            if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
-                raise linalg.NumericalError(
-                    f"state overflow in factor ({op}, {c}) at h={h}"
-                )
+            np.multiply(state, phase, out=state)
+        bound *= gain
+        if not bound <= _NORM2_SAFE:
+            n2 = float(np.vdot(state, state).real)
+            if not n2 <= _NORM2_SAFE:
+                peak = float(np.max(np.abs(state)))
+                if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
+                    raise linalg.NumericalError(
+                        f"state overflow in factor ({op}, {c}) at h={h}"
+                    )
+            bound = n2 * _NORM2_MARGIN
     return state
 
 

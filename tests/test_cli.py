@@ -155,6 +155,59 @@ def test_conservation_records_raised_sample_every(tmp_path, capsys,
     capsys.readouterr()
 
 
+def _conservation_lines(tmp_path, name):
+    return (tmp_path / f"conservation_{name}.csv").read_text().splitlines()
+
+
+def test_conservation_records_an_aborted_run(tmp_path, capsys):
+    raw = {
+        "experiment": "CONSERVATION",
+        "schemes": ["strang"],
+        "grid": {"n": 64},
+        "h_values": [1.3],
+        "n_steps": 100,
+        "include_comparator": True,
+    }
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    lines = _conservation_lines(tmp_path, "pal2_b0.25_0.25")
+    aborted = [line for line in lines if line.startswith("# aborted at step ")]
+    assert len(aborted) == 1 and ": state overflow in factor (" in aborted[0]
+    step = int(aborted[0].split()[4].rstrip(":"))
+    rows = [line for line in lines if not line.startswith("#")]
+    assert len(rows) == 1 + step - 1  # every completed step is sampled
+    assert not any(line.startswith("# aborted")
+                   for line in _conservation_lines(tmp_path, "strang"))
+    assert "pal2_b0.25_0.25: energy drift " in capsys.readouterr().out
+
+
+def test_conservation_aborted_before_two_samples(tmp_path, capsys):
+    raw = {
+        "experiment": "CONSERVATION",
+        "schemes": ["NB5s4"],
+        "grid": {"n": 64},
+        "h_values": [50.0],
+        "n_steps": 10,
+        "include_comparator": False,
+    }
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    lines = _conservation_lines(tmp_path, "NB5s4")
+    assert any(line.startswith("# aborted at step 1: state overflow")
+               for line in lines)
+    assert [line for line in lines if not line.startswith("#")] == \
+        ["t,mass_err,energy_err,fft_count"]
+    assert "NB5s4: energy drift n/a" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("experiment", ["EFFICIENCY", "ORDER", "DH_SWEEP"])
+def test_duplicate_h_values_rejected(tmp_path, capsys, experiment):
+    raw = {"experiment": experiment, "schemes": ["strang"], "h_values": [0.1, 0.1]}
+    assert cli.run(raw, out_dir=str(tmp_path)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid config"
+    assert "distinct" in err["detail"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_efficiency_records_skipped_cells(tmp_path, capsys):
     raw = {
         "experiment": "EFFICIENCY",

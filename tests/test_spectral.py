@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from unisplit import linalg, propagator, schemes, spectral
 from unisplit.spectral import (
@@ -130,15 +131,76 @@ def _run(step, scheme, grid, v, h, n_steps, u=None):
     return u.tobytes(), counter.count, None
 
 
-@pytest.mark.parametrize(
-    "scheme", schemes.catalog() + [schemes.drift_comparator()], ids=lambda s: s.name
-)
+ALL_SCHEMES = schemes.catalog() + [schemes.drift_comparator()]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
 def test_split_step_bitwise_equals_uncached_loop(pt64, scheme):
-    # h = 1.3 overflows S31, S32, S4, B3s3 and the comparator within 60 steps
+    # h = 1.3 overflows S31, S32, S4, B3s3 and the comparator within 60 steps.
+    # N = 32 is a 2*4^k size and N = 64 a 4^k size: FFT libraries may round
+    # the two kinds differently.
+    grid32 = SpectralGrid(n=32)
+    for grid, v in ((grid32, pt_potential(grid32)), pt64[:2]):
+        for h in (0.05, 100.0 / 909.0, 0.4, 1.3):
+            assert _run(split_step, scheme, grid, v, h, 60) == \
+                _run(_reference_split_step, scheme, grid, v, h, 60)
+
+
+def test_split_step_copies_its_input(pt64, rng):
     grid, v, _, _, _ = pt64
-    for h in (0.05, 100.0 / 909.0, 0.4, 1.3):
-        assert _run(split_step, scheme, grid, v, h, 60) == \
-            _run(_reference_split_step, scheme, grid, v, h, 60)
+    s = schemes.get_scheme("NB5s4")
+    u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    u.flags.writeable = False
+    kept = u.copy()
+    first = split_step(s, grid, v, u, 0.1)
+    second = split_step(s, grid, v, u, 0.1)
+    assert np.array_equal(u, kept)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, u) and not np.shares_memory(second, u)
+    assert np.array_equal(first, _reference_split_step(s, grid, v, u, 0.1))
+
+
+@pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+def test_transform_into_out(grid32, rng, transform):
+    u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    out = np.empty(32, dtype=complex)
+    c = FftCounter()
+    got = transform(grid32, u, c, out=out)
+    assert got is out
+    assert c.count == 1
+    assert got.tobytes() == transform(grid32, u).tobytes()
+
+
+def test_overflowing_gain_matches_reference():
+    # S4 at N = 512, h = 0.4: max|phase| is about 2e283, so its square is inf
+    grid = SpectralGrid(n=512)
+    v = pt_potential(grid)
+    s = schemes.get_scheme("S4")
+    phases = spectral._factor_phases(s, grid, 0.4, v.dtype.str, v.shape, v.tobytes())
+    assert any(np.isinf(gain) for *_, gain in phases)
+    got = _run(split_step, s, grid, v, 0.4, 5)
+    assert got[2] is not None
+    assert got == _run(_reference_split_step, s, grid, v, 0.4, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(ALL_SCHEMES),
+    h=st.floats(1e-3, 2.0),
+    n=st.sampled_from([16, 32, 64]),
+    exponent=st.floats(0.0, 12.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_split_step_matches_reference_loop_property(scheme, h, n, exponent, seed):
+    grid = SpectralGrid(n=n)
+    v = pt_potential(grid)
+    gen = np.random.default_rng(seed)
+    u = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    u *= 10.0**exponent / grid.norm(u)
+    assert _run(split_step, scheme, grid, v, h, 5, u) == \
+        _run(_reference_split_step, scheme, grid, v, h, 5, u)
 
 
 def _phase_cache_misses():
@@ -164,14 +226,18 @@ def test_phase_cache_follows_potential_values(pt64):
     assert not np.array_equal(after, before)
 
 
-@pytest.mark.parametrize("change", ["h", "grid", "dtype"])
+@pytest.mark.parametrize("change", ["h", "grid", "dtype", "scheme"])
 def test_phase_cache_keys_on_h_grid_and_dtype(pt64, change):
     grid, v, _, _, _ = pt64
     s = schemes.get_scheme("NB5s4")
     h = 0.1
     spectral._factor_phases.cache_clear()
     split_step(s, grid, v, initial_gaussian(grid), h)
-    if change == "h":
+    if change == "scheme":
+        # the same name with other coefficients: equal hashes, unequal schemes
+        s = schemes.conjugate_scheme(s, name=s.name)
+        assert hash(s) == hash(schemes.get_scheme("NB5s4"))
+    elif change == "h":
         h = 0.1 + 2**-40
     elif change == "grid":
         grid = SpectralGrid(n=64, x_min=-9.0, x_max=9.0)
@@ -190,7 +256,9 @@ def test_cached_arrays_are_read_only(pt64):
     s = schemes.get_scheme("strang")
     split_step(s, grid, v, initial_gaussian(grid), 0.1)
     phases = spectral._factor_phases(s, grid, 0.1, v.dtype.str, v.shape, v.tobytes())
-    assert all(not phase.flags.writeable for _, _, phase in phases)
+    assert all(not phase.flags.writeable for _, _, phase, _ in phases)
+    assert all(gain == np.max(np.abs(phase)) ** 2 * (1 + 1e-9)
+               for _, _, phase, gain in phases)
     half_k2 = spectral._half_k2(grid)
     assert not half_k2.flags.writeable
     # the A symbol -k^2/2 keeps its bits when k^2/2 is negated instead
