@@ -6,6 +6,7 @@ and the reversibility / convergence-order diagnostics built on top of it.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,40 +165,44 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
 
 
 def eigenphase_error(
-    scheme: SplittingScheme, a, b, h: float, warn: bool = True
-) -> float:
+    scheme: SplittingScheme, a, b, h, warn: bool = True
+) -> float | np.ndarray:
     """Max distance from the eigenvalues of S_h to the exact phases e^{i h lam}.
 
-    H = A + B must be real symmetric.  Eigenvalues are paired greedily to the
-    nearest exact phase; a pairing-ambiguity warning is attached to the result
-    via ``warnings`` when two exact phases fall within twice the pairing
-    distance (valid only for h small enough that phase gaps dominate the
-    method error).
-    """
-    if h == 0.0:
-        return 0.0
-    am = linalg.as_matrix(a, square=True)
-    bm = linalg.as_matrix(b, square=True)
-    lam, _ = linalg.eig_symmetric(am + bm)
-    exact = np.exp(1j * h * lam)
-    omega = linalg.eig_general(step_matrix(scheme, am, bm, h))
-    dist = np.abs(omega[:, None] - exact[None, :])
-    worst = 0.0
-    ambiguous = False
-    for i in range(len(omega)):
-        j = int(np.argmin(dist[i]))
-        d = float(dist[i, j])
-        others = np.delete(dist[i], j)
-        if others.size and float(np.min(others)) < 2.0 * d:
-            ambiguous = True
-        worst = max(worst, d)
-    if ambiguous and warn:
-        import warnings
+    ``h`` is a scalar, giving a float, or a 1-D array, giving an array of one
+    error per entry; an entry h = 0 gives 0.  A, B and H = A + B are
+    diagonalised once for the whole array, so a grid costs one `step_matrix`
+    and one `eig_general` call.
 
-        warnings.warn(
-            f"eigenphase pairing ambiguous at h={h}: two exact phases within "
-            "2x the pairing distance",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return worst
+    H = A + B must be real symmetric.  Eigenvalues are paired greedily to the
+    nearest exact phase; a pairing-ambiguity warning is issued via
+    ``warnings``, once for each h, when two exact phases fall within twice the
+    pairing distance (valid only for h small enough that phase gaps dominate
+    the method error).
+    """
+    h_arr = np.asarray(h, dtype=float)
+    if h_arr.ndim > 1:
+        raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
+    hs = h_arr.reshape(-1)
+    worst = np.zeros(len(hs))
+    live = hs != 0.0
+    if live.any():
+        am = linalg.as_matrix(a, square=True)
+        bm = linalg.as_matrix(b, square=True)
+        lam, _ = linalg.eig_symmetric(am + bm)
+        exact = np.exp(1j * hs[live, None] * lam)
+        omega = linalg.eig_general(step_matrix(scheme, am, bm, hs[live]))
+        # dist[k, i, j] = |omega_i - exact_j| at the k-th nonzero h
+        dist = np.abs(omega[:, :, None] - exact[:, None, :])
+        near = dist.min(axis=2)
+        worst[live] = near.max(axis=1)
+        if warn and lam.size > 1:
+            second = np.partition(dist, 1, axis=2)[:, :, 1]
+            for h_k in hs[live][(second < 2.0 * near).any(axis=1)]:
+                warnings.warn(
+                    f"eigenphase pairing ambiguous at h={float(h_k)}: two exact "
+                    "phases within 2x the pairing distance",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+    return float(worst[0]) if h_arr.ndim == 0 else worst

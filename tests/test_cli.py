@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from unisplit import cli
+from unisplit import cli, spectral
 from unisplit.cli import ConfigError, ExperimentConfig
 
 
@@ -223,6 +224,30 @@ def test_efficiency_records_skipped_cells(tmp_path, capsys):
     rows = [line for line in lines if not line.startswith("#")]
     assert rows[0] == "h,fft_count,max_energy_err"
     assert [row.split(",")[0] for row in rows[1:]] == ["0.050000000000000003"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("experiment, header", [
+    ("EFFICIENCY", "# skipped h 1.3: state overflow"),
+    ("CONSERVATION", "# aborted at step 1: state overflow"),
+])
+def test_overflowing_cell_raises_no_numpy_warning(tmp_path, capsys, experiment,
+                                                  header):
+    # S31's phases overflow at N = 512, h = 1.3; clear the phase cache so
+    # that they are built, and would warn, inside this run
+    raw = {
+        "experiment": experiment,
+        "schemes": ["S31"],
+        "grid": {"n": 512},
+        "h_values": [1.3],
+        "t_final": 2.6,
+    }
+    spectral._factor_phases.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    lines = (tmp_path / f"{experiment.lower()}_S31.csv").read_text().splitlines()
+    assert sum(line.startswith(header) for line in lines) == 1
     capsys.readouterr()
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -189,6 +191,47 @@ def test_eigenphase_error_scales(sym_split):
     e2 = eigenphase_error(s, a, b, 0.04, warn=False)
     # third-order phase error: doubling h multiplies the error by ~8
     assert e2 / e1 == pytest.approx(8.0, rel=0.35)
+
+
+def _reference_eigenphase_error(scheme, a, b, h):
+    """(error, ambiguous) at one h: a scalar step matrix and the greedy
+    pairing, row by row."""
+    lam, _ = linalg.eig_symmetric(a + b)
+    exact = np.exp(1j * h * lam)
+    omega = linalg.eig_general(step_matrix(scheme, a, b, h))
+    worst, ambiguous = 0.0, False
+    for row in np.abs(omega[:, None] - exact[None, :]):
+        j = int(np.argmin(row))
+        others = np.delete(row, j)
+        ambiguous |= bool(others.size and np.min(others) < 2.0 * row[j])
+        worst = max(worst, float(row[j]))
+    return worst, ambiguous
+
+
+def test_eigenphase_error_stack_equals_scalar_calls(sym_split):
+    _, a, b = sym_split
+    # pairing is ambiguous at none, one or several of the h >= 1.5 per scheme
+    h_grid = np.array([0.0, 0.02, 0.05, 0.4, 1.5, 2.0, 2.5, 3.0])
+    for s in schemes.catalog():
+        with warnings.catch_warnings(record=True) as scalar_warnings:
+            warnings.simplefilter("always")
+            scalar = [eigenphase_error(s, a, b, float(h)) for h in h_grid]
+        with warnings.catch_warnings(record=True) as stack_warnings:
+            warnings.simplefilter("always")
+            stacked = eigenphase_error(s, a, b, h_grid)
+        reference = [(0.0, False)] + [_reference_eigenphase_error(s, a, b, float(h))
+                                      for h in h_grid[1:]]
+        assert stacked.shape == h_grid.shape
+        assert stacked.tobytes() == np.array(scalar).tobytes(), s.name
+        assert stacked.tobytes() == np.array([e for e, _ in reference]).tobytes()
+        messages = [str(w.message) for w in stack_warnings]
+        assert messages == [str(w.message) for w in scalar_warnings]
+        assert messages == [
+            f"eigenphase pairing ambiguous at h={h}: two exact phases within "
+            "2x the pairing distance"
+            for h, (_, ambiguous) in zip(h_grid, reference) if ambiguous]
+    with pytest.raises(linalg.DimensionError):
+        eigenphase_error(s, a, b, h_grid[None, :])
 
 
 def test_eigenphase_warns_when_pairing_ambiguous(sym_split):

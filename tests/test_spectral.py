@@ -100,15 +100,19 @@ def test_split_step_matches_dense_oracle(pt64, name, rng):
 
 
 def _reference_split_step(scheme, grid, v_pot, u, h, counter=None):
-    """The uncached loop: every phase rebuilt and the exact peak checked
-    after every factor."""
+    """The uncached loop: every phase rebuilt, the exact peak checked after
+    every factor, and the transforms taken by ``np.fft`` itself, counted as
+    ``dft``/``idft`` count them."""
     state = np.asarray(u, dtype=complex)
     k2 = grid.k**2 / 2.0
     for f in scheme.factors:
         c = f.coeff
         if f.op == "A":
-            state = idft(grid, np.exp(-1j * h * c * k2) * dft(grid, state, counter),
-                         counter)
+            if counter is not None:
+                counter.count += 2
+            state = np.fft.ifft(
+                np.exp(-1j * h * c * k2) * np.fft.fft(state, norm="ortho"),
+                norm="ortho")
         else:
             state = state * np.exp(-1j * h * c * v_pot)
         peak = float(np.max(np.abs(state)))
@@ -170,6 +174,44 @@ def test_transform_into_out(grid32, rng, transform):
     assert got is out
     assert c.count == 1
     assert got.tobytes() == transform(grid32, u).tobytes()
+
+
+def _transform_inputs(n):
+    """Complex, real, read-only and strided inputs of length n."""
+    gen = np.random.default_rng(n)
+    z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    frozen = z.copy()
+    frozen.flags.writeable = False
+    wide = gen.standard_normal(2 * n) + 1j * gen.standard_normal(2 * n)
+    return {"complex": z, "real": gen.standard_normal(n), "read-only": frozen,
+            "strided": wide[::2]}
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(1, 15)])
+@pytest.mark.parametrize("transform, numpy_fft", [(dft, np.fft.fft), (idft, np.fft.ifft)],
+                         ids=["dft", "idft"])
+def test_transform_bitwise_equals_np_fft(n, transform, numpy_fft):
+    grid = SpectralGrid(n=n)
+    for kind, u in _transform_inputs(n).items():
+        kept = u.copy()
+        want = numpy_fft(u, norm="ortho").tobytes()
+        c = FftCounter()
+        assert transform(grid, u, c).tobytes() == want, kind
+        out = np.empty(n, dtype=complex)
+        assert transform(grid, u, c, out=out) is out
+        assert out.tobytes() == want, kind
+        assert c.count == 2
+        assert np.array_equal(u, kept)
+
+
+@pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+@pytest.mark.parametrize("length", [16, 64])
+def test_transform_refuses_wrong_out_length(grid32, rng, transform, length):
+    u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    out = np.full(length, 7.0 + 7.0j)
+    with pytest.raises(linalg.DimensionError, match="out must have shape"):
+        transform(grid32, u, out=out)
+    assert np.all(out == 7.0 + 7.0j)
 
 
 def test_overflowing_gain_matches_reference():
