@@ -100,20 +100,43 @@ class ExperimentConfig:
                 raise ConfigError("h values must be positive")
             if len(set(h_values)) != len(h_values):
                 raise ConfigError(f"h values must be distinct, got {h_values}")
-        return cls(
+        t_final = raw.get("t_final")
+        if t_final is not None:
+            t_final = float(t_final)
+            if not (math.isfinite(t_final) and t_final > 0):
+                raise ConfigError(f"t_final must be positive and finite, got {t_final}")
+        n_steps = raw.get("n_steps")
+        if n_steps is not None and (
+            isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1
+        ):
+            raise ConfigError(f"n_steps must be a positive integer, got {n_steps!r}")
+        cfg = cls(
             experiment=exp,
             schemes=names,
             matrix=matrix,
             grid=grid,
             h_values=h_values,
-            t_final=raw.get("t_final"),
-            n_steps=raw.get("n_steps"),
+            t_final=t_final,
+            n_steps=n_steps,
             sample_every=int(raw.get("sample_every", 1)),
             seed=int(raw.get("seed", 0)),
             output=str(raw.get("output", ".")),
             include_comparator=bool(raw.get("include_comparator", True)),
             threshold=float(raw.get("threshold", experiments.DH_THRESHOLD)),
         )
+        # build what the experiment will build, so that a bad size is a
+        # config error here rather than a traceback from the experiment
+        try:
+            cfg.matrix_spec()
+            grid_n = cfg.spectral_grid()[0].n if grid is not None else None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid matrix or grid: {exc}") from exc
+        if exp == "ORDER" and grid_n is not None and grid_n > spectral.DENSE_MAX_N:
+            raise ConfigError(
+                f"ORDER on a grid assembles a dense H: grid n must be at most "
+                f"{spectral.DENSE_MAX_N}, got {grid_n}"
+            )
+        return cfg
 
     def matrix_spec(self) -> experiments.MatrixClassSpec:
         m = self.matrix or {"class": "SYM_SIMPLE"}
@@ -253,7 +276,7 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
     grid, v = cfg.spectral_grid()
     h = cfg.h_values[0] if cfg.h_values else 100.0 / 909.0
     t_final = cfg.t_final if cfg.t_final is not None else 1e4
-    n_steps = cfg.n_steps or max(1, round(t_final / h))
+    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(t_final / h))
     # at most about 2000 samples per run
     sample_every = max(cfg.sample_every, n_steps // 2000, 1)
     raised = ([f"sample_every raised from {cfg.sample_every} to {sample_every}"]

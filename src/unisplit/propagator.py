@@ -6,6 +6,7 @@ and the reversibility / convergence-order diagnostics built on top of it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,25 @@ def _eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     return lam, v, np.linalg.inv(v)
 
 
+@functools.lru_cache(maxsize=1)
+def _split_bases(shape: tuple[int, int], a_bytes: bytes, b_bytes: bytes) -> dict:
+    """``{"A": _eigenbasis(A), "B": _eigenbasis(B)}`` for the complex128
+    operators held in ``a_bytes`` and ``b_bytes``; the arrays are read-only.
+
+    The operators arrive as their bytes so that the cache key holds their
+    values, not the identity of the caller's arrays; a None from the cond
+    guard is cached like a basis.
+    """
+    bases = {}
+    for op, raw in (("A", a_bytes), ("B", b_bytes)):
+        basis = _eigenbasis(np.frombuffer(raw, dtype=complex).reshape(shape))
+        if basis is not None:
+            for arr in basis:
+                arr.flags.writeable = False
+        bases[op] = basis
+    return bases
+
+
 def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     """Dense step operator: product of exp(i h c Op) over the factor sequence.
 
@@ -49,10 +69,11 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     in application order multiplies the state first, so it is the rightmost
     term of the accumulated product.
 
-    Each operator is diagonalised once per call, and its factors are
-    V diag(exp(i h c lam)) V^-1 for the whole stack at once; an operator whose
-    eigenvectors fail the condition guard has its factors built by
-    `linalg.expm`, one per h.
+    The factors of an operator are V diag(exp(i h c lam)) V^-1 for the whole
+    stack at once.  The eigenbases of A and B are kept for the latest split
+    (keyed by their values), so calls on one split diagonalise each operator
+    once; an operator whose eigenvectors fail the condition guard has its
+    factors built by `linalg.expm`, one per h, on every call.
     """
     am = linalg.as_matrix(a, square=True)
     bm = linalg.as_matrix(b, square=True)
@@ -63,7 +84,7 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
         raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
     ih = 1j * h_arr.reshape(-1)
     ops = {"A": am, "B": bm}
-    bases = {"A": _eigenbasis(am), "B": _eigenbasis(bm)}
+    bases = _split_bases(am.shape, am.tobytes(), bm.tobytes())
     # the product so far is V_in @ s, with V_in the eigenvectors of the
     # operator named by `basis_of` (the identity when it is None)
     s, basis_of = None, None
@@ -92,6 +113,22 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
 def exact_propagator(h_matrix, t: float) -> np.ndarray:
     """Exact flow expm(i t H)."""
     return linalg.expm(1j * t * linalg.as_matrix(h_matrix, square=True))
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_propagators(
+    shape: tuple[int, int], hm_bytes: bytes, h_bytes: bytes
+) -> tuple[np.ndarray, ...]:
+    """``exact_propagator(H, h)`` for each h of a grid, read-only.
+
+    The key is the whole grid: `empirical_order` walks one grid per call, so
+    a per-h cache smaller than the grid would be evicted before its reuse.
+    """
+    hm = np.frombuffer(hm_bytes, dtype=complex).reshape(shape)
+    refs = tuple(exact_propagator(hm, h) for h in np.frombuffer(h_bytes))
+    for ref in refs:
+        ref.flags.writeable = False
+    return refs
 
 
 def reversibility_report(
@@ -152,14 +189,19 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
 
     Points below the round-off plateau (error < 1e-12) or outside the
     asymptotic window (error > 1e-1) are excluded and reported.
+
+    The references expm(i h H) are kept for the latest (H, grid) pair, keyed
+    by their values, so a sweep of schemes over one split and grid builds
+    them once.
     """
     am = linalg.as_matrix(a, square=True)
     bm = linalg.as_matrix(b, square=True)
     hm = am + bm
     h_arr = np.asarray(h_grid, dtype=float)
+    refs = _exact_propagators(hm.shape, hm.tobytes(), h_arr.tobytes())
     errors = [
-        linalg.frobenius(s_h - exact_propagator(hm, h))
-        for s_h, h in zip(step_matrix(scheme, am, bm, h_arr), h_arr)
+        linalg.frobenius(s_h - ref)
+        for s_h, ref in zip(step_matrix(scheme, am, bm, h_arr), refs)
     ]
     return fit_loglog(h_arr, errors)
 

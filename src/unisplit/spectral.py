@@ -41,6 +41,9 @@ __all__ = [
 
 OVERFLOW_LIMIT = 1e12
 
+#: Largest grid size `build_dense_hamiltonian` assembles as a dense matrix.
+DENSE_MAX_N = 1024
+
 #: Squared norm below which no entry of a state can exceed OVERFLOW_LIMIT.
 #: The relative margin covers the rounding of the sum of |u_j|^2, at most
 #: about N * 2^-53, which stays below 1e-9 for N up to about 9e6.
@@ -343,8 +346,8 @@ def build_dense_hamiltonian(
     A is assembled by applying the Fourier action to canonical basis vectors;
     B = diag(-V); H = A + B is real symmetric to round-off.
     """
-    if grid.n > 1024:
-        raise ValueError("dense assembly limited to N <= 1024")
+    if grid.n > DENSE_MAX_N:
+        raise ValueError(f"dense assembly limited to N <= {DENSE_MAX_N}")
     counter = FftCounter()
     cols = [_a_action(grid, e, counter) for e in np.eye(grid.n, dtype=complex)]
     a = np.stack(cols, axis=1)

@@ -209,6 +209,31 @@ def test_duplicate_h_values_rejected(tmp_path, capsys, experiment):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("raw", [
+    {"experiment": "ORDER", "schemes": ["strang"], "grid": {"n": 2048}},
+    {"experiment": "CONSERVATION", "schemes": ["strang"], "grid": {"n": 100}},
+    {"experiment": "DH_SWEEP", "schemes": ["strang"],
+     "matrix": {"class": "SYM_SIMPLE", "n": 0}},
+], ids=["order_dense_limit", "grid_not_power_of_two", "matrix_n_zero"])
+def test_bad_sizes_are_config_errors(tmp_path, capsys, raw):
+    assert cli.run(raw, out_dir=str(tmp_path)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid config"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_steps", 0), ("n_steps", -3), ("t_final", 0.0), ("t_final", -1.0),
+])
+def test_nonpositive_run_length_rejected(tmp_path, capsys, field, value):
+    raw = {"experiment": "CONSERVATION", "schemes": ["strang"], field: value}
+    assert cli.run(raw, out_dir=str(tmp_path)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid config"
+    assert field in err["detail"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_efficiency_records_skipped_cells(tmp_path, capsys):
     raw = {
         "experiment": "EFFICIENCY",

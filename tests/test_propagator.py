@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from unisplit import experiments, linalg, schemes
+from unisplit import experiments, linalg, propagator, schemes
 from unisplit.propagator import (
     OrderFit,
     eigenphase_error,
@@ -18,6 +18,8 @@ from unisplit.propagator import (
 
 # the 28-point grid of criterion 4
 H_SWEEP = np.geomspace(0.01, 10.0, 28)
+# the 8-point grid of criterion 5a
+H_ORDER = np.geomspace(0.05, 0.4, 8)
 
 
 def two_level_split():
@@ -39,6 +41,17 @@ def nilpotent(rng, n):
     u, w = rng.standard_normal(n), rng.standard_normal(n)
     w -= (w @ u) / (u @ u) * u
     return np.outer(u, w)
+
+
+def clear_memos():
+    """Empty the per-split memos, so that a call after this one is cold."""
+    propagator._split_bases.cache_clear()
+    propagator._exact_propagators.cache_clear()
+
+
+def split_of(cls):
+    spec = experiments.MatrixClassSpec(experiments.MatrixClass[cls], n=10, seed=0)
+    return experiments.generate(spec)[1:]
 
 
 def test_step_matrix_application_order():
@@ -93,17 +106,99 @@ def test_step_matrix_defective_operators_take_expm_path(rng, monkeypatch):
     a, b = nilpotent(rng, 5), nilpotent(rng, 5)
     for s_h, hk in zip(step_matrix(s, a, b, h), h):
         assert np.array_equal(s_h, expm_product(s, a, b, hk))
-    # only B defective: its factors, and no others, go through expm
+    # only B defective: its factors, and no others, go through expm, on
+    # every call, the memoised ones too
     m = rng.standard_normal((5, 5))
     a = (m + m.T) / 2
     calls = []
     expm = linalg.expm
     monkeypatch.setattr(linalg, "expm", lambda x: calls.append(x) or expm(x))
-    stack = step_matrix(s, a, b, h)
-    assert len(calls) == len(h) * sum(f.op == "B" for f in s.factors)
+    clear_memos()
+    for _ in range(3):
+        calls.clear()
+        stack = step_matrix(s, a, b, h)
+        assert len(calls) == len(h) * sum(f.op == "B" for f in s.factors)
     for s_h, hk in zip(stack, h):
         ref = expm_product(s, a, b, hk)
         assert linalg.frobenius(s_h - ref) <= 1e-12 * linalg.frobenius(ref)
+
+
+@pytest.mark.parametrize("cls", ["SYM_SIMPLE", "ARBITRARY"])
+def test_memo_cold_and_warm_calls_are_bit_identical(cls):
+    a, b = split_of(cls)
+    s = schemes.get_scheme("NB11s6")
+    for call in (lambda: step_matrix(s, a, b, H_SWEEP).tobytes(),
+                 lambda: step_matrix(s, a, b, 0.3).tobytes(),
+                 lambda: empirical_order(s, a, b, H_ORDER)):
+        clear_memos()
+        assert call() == call()  # cold, then warm
+
+
+def test_memo_alternating_splits_match_cold_calls():
+    splits = [split_of("SYM_SIMPLE"), split_of("ARBITRARY"), split_of("SYM_SIMPLE")]
+    s = schemes.get_scheme("NB5s4")
+
+    def results(a, b):
+        return (step_matrix(s, a, b, H_SWEEP).tobytes(),
+                empirical_order(s, a, b, H_ORDER))
+
+    cold = []
+    for a, b in splits:
+        clear_memos()
+        cold.append(results(a, b))
+    clear_memos()
+    assert [results(a, b) for a, b in splits] == cold
+
+
+def test_memo_sees_an_operator_changed_in_place():
+    a, b = split_of("SYM_SIMPLE")
+    a = a.astype(complex)  # as_matrix then returns the caller's own array
+    s = schemes.get_scheme("S31")
+    clear_memos()
+    before = step_matrix(s, a, b, H_SWEEP)
+    a[0, 1] += 0.25
+    a[1, 0] += 0.25
+    after = step_matrix(s, a, b, H_SWEEP)
+    clear_memos()
+    assert after.tobytes() == step_matrix(s, a, b, H_SWEEP).tobytes()
+    assert not np.array_equal(after, before)
+
+
+def test_memo_entries_are_read_only():
+    a, b = split_of("ARBITRARY")
+    clear_memos()
+    empirical_order(schemes.get_scheme("strang"), a, b, H_ORDER)
+    am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
+    bases = propagator._split_bases(am.shape, am.tobytes(), bm.tobytes())
+    hm = am + bm
+    refs = propagator._exact_propagators(hm.shape, hm.tobytes(), H_ORDER.tobytes())
+    assert propagator._split_bases.cache_info().hits == 1
+    assert propagator._exact_propagators.cache_info().hits == 1
+    arrays = [arr for op in "AB" for arr in bases[op]] + list(refs)
+    assert len(arrays) == 6 + len(H_ORDER)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("cls", ["SYM_SIMPLE", "SYM_SIMPLE_NONSYM_SPLIT"])
+def test_memo_diagonalises_each_operator_once(cls, monkeypatch):
+    a, b = split_of(cls)
+    calls = []
+    eigh, eig, expm = np.linalg.eigh, np.linalg.eig, linalg.expm
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh") or eigh(m))
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append("eig") or eig(m))
+    monkeypatch.setattr(linalg, "expm", lambda m: calls.append("expm") or expm(m))
+    clear_memos()
+    for s in schemes.catalog():
+        step_matrix(s, a, b, H_SWEEP)
+        step_matrix(s, a, b, 0.3)
+    assert len(calls) == 2 and "expm" not in calls  # one eigh or eig per operator
+    calls.clear()
+    for s in schemes.catalog():
+        empirical_order(s, a, b, H_ORDER)
+    assert calls == ["expm"] * len(H_ORDER)
 
 
 def test_step_matrix_rejects_2d_h(sym_split):
