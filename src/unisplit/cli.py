@@ -43,6 +43,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(raw: dict, key: str, kind: type, default):
+    """``kind(raw[key])``, or ``kind(default)`` when absent; a value that
+    does not convert is a :class:`ConfigError`."""
+    try:
+        return kind(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {raw.get(key)!r}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -86,23 +95,31 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(f"unknown grid fields: {sorted(bad)}")
         h_values = raw.get("h_values")
-        if h_values is None and "h_range" in raw:
-            rng = raw["h_range"]
+        rng = raw.get("h_range") if h_values is None else None
+        if rng is not None:
             bad = set(rng) - {"min", "max", "points"}
             if bad:
                 raise ConfigError(f"unknown h_range fields: {sorted(bad)}")
-            h_values = list(
-                np.geomspace(rng["min"], rng["max"], int(rng.get("points", 16)))
-            )
+        try:
+            if rng is not None:
+                h_values = np.geomspace(rng["min"], rng["max"],
+                                        int(rng.get("points", 16)))
+            if h_values is not None:
+                h_values = [float(h) for h in h_values]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"h_values, or h_range min, max and points, must be numbers: {exc!r}"
+            ) from exc
         if h_values is not None:
-            h_values = [float(h) for h in h_values]
+            if not h_values:
+                raise ConfigError("h values must not be empty")
             if any(h <= 0 for h in h_values):
                 raise ConfigError("h values must be positive")
             if len(set(h_values)) != len(h_values):
                 raise ConfigError(f"h values must be distinct, got {h_values}")
         t_final = raw.get("t_final")
         if t_final is not None:
-            t_final = float(t_final)
+            t_final = _number(raw, "t_final", float, None)
             if not (math.isfinite(t_final) and t_final > 0):
                 raise ConfigError(f"t_final must be positive and finite, got {t_final}")
         n_steps = raw.get("n_steps")
@@ -118,11 +135,11 @@ class ExperimentConfig:
             h_values=h_values,
             t_final=t_final,
             n_steps=n_steps,
-            sample_every=int(raw.get("sample_every", 1)),
-            seed=int(raw.get("seed", 0)),
+            sample_every=_number(raw, "sample_every", int, 1),
+            seed=_number(raw, "seed", int, 0),
             output=str(raw.get("output", ".")),
             include_comparator=bool(raw.get("include_comparator", True)),
-            threshold=float(raw.get("threshold", experiments.DH_THRESHOLD)),
+            threshold=_number(raw, "threshold", float, experiments.DH_THRESHOLD),
         )
         # build what the experiment will build, so that a bad size is a
         # config error here rather than a traceback from the experiment
@@ -226,45 +243,6 @@ def _run_dh_sweep(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
         print(f"{name}: h* = {series.meta['h_star']}")
 
 
-def _spectral_conservation(
-    scheme: schemes.SplittingScheme,
-    grid: spectral.SpectralGrid,
-    v: np.ndarray,
-    h: float,
-    n_steps: int,
-    sample_every: int,
-) -> experiments.DiagnosticSeries:
-    """Long-time matrix-free run recording (t, mass_err, energy_err, fft_count)."""
-    counter = spectral.FftCounter()
-    u = spectral.initial_gaussian(grid)
-    obs0 = spectral.observables(grid, v, u)
-    series = experiments.DiagnosticSeries(
-        abscissa="t", columns=("mass_err", "energy_err", "fft_count")
-    )
-    series.meta["scheme"] = scheme.name
-    # an overflow is reported by split_step's own check, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            try:
-                u = spectral.split_step(scheme, grid, v, u, h, counter)
-            except linalg.NumericalError as exc:
-                # drifting schemes eventually overflow; keep what was recorded
-                series.meta["aborted_at_step"] = n
-                series.meta["aborted"] = str(exc)
-                break
-            if n % sample_every == 0 or n == n_steps:
-                obs = spectral.observables(grid, v, u)
-                series.add(
-                    n * h,
-                    {
-                        "mass_err": abs(obs["mass"] - obs0["mass"]),
-                        "energy_err": abs(obs["energy"] - obs0["energy"]),
-                        "fft_count": counter.count,
-                    },
-                )
-    return series
-
-
 def _conservation_schemes(cfg: ExperimentConfig) -> list[schemes.SplittingScheme]:
     chosen = [schemes.get_scheme(n) for n in (cfg.schemes or ["NB11s6"])]
     if cfg.include_comparator:
@@ -281,8 +259,10 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
     sample_every = max(cfg.sample_every, n_steps // 2000, 1)
     raised = ([f"sample_every raised from {cfg.sample_every} to {sample_every}"]
               if sample_every != cfg.sample_every else [])
+    u0 = spectral.initial_gaussian(grid)
     for s in _conservation_schemes(cfg):
-        series = _spectral_conservation(s, grid, v, h, n_steps, sample_every)
+        series = experiments.conservation_run(s, grid, v, u0, h, n_steps,
+                                              sample_every)
         aborted = ([f"aborted at step {series.meta['aborted_at_step']}: "
                     f"{series.meta['aborted']}"]
                    if "aborted" in series.meta else [])
@@ -309,6 +289,7 @@ def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
     grid, v = cfg.spectral_grid()
     t_final = cfg.t_final if cfg.t_final is not None else 100.0
     h_grid = cfg.h_values or list(np.geomspace(0.02, 0.4, 8))
+    u0 = spectral.initial_gaussian(grid)
     for name in cfg.schemes:
         s = schemes.get_scheme(name)
         series = experiments.DiagnosticSeries(
@@ -316,25 +297,14 @@ def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
         )
         skipped = []
         for h in sorted(h_grid):
-            n_steps = max(1, round(t_final / h))
-            counter = spectral.FftCounter()
-            u = spectral.initial_gaussian(grid)
-            e0 = spectral.observables(grid, v, u)["energy"]
-            worst = 0.0
-            try:
-                # as in _spectral_conservation: split_step reports overflow
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for _ in range(n_steps):
-                        u = spectral.split_step(s, grid, v, u, h, counter)
-                        worst = max(
-                            worst,
-                            abs(spectral.observables(grid, v, u)["energy"] - e0),
-                        )
-            except linalg.NumericalError as exc:
+            run = experiments.conservation_run(s, grid, v, u0, h,
+                                               max(1, round(t_final / h)))
+            if "aborted" in run.meta:
                 # unstable cell: no data row, but the header records it
-                skipped.append(f"skipped h {h:.17g}: {exc}")
+                skipped.append(f"skipped h {h:.17g}: {run.meta['aborted']}")
                 continue
-            series.add(h, {"fft_count": counter.count, "max_energy_err": worst})
+            series.add(h, {"fft_count": run.column("fft_count")[-1],
+                           "max_energy_err": run.column("energy_err").max()})
         _write(
             out / f"efficiency_{name}.csv",
             series.to_csv(_header(cfg_hash, [f"t_final {t_final:.17g}", *skipped])),

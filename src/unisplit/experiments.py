@@ -1,4 +1,5 @@
-"""Seeded random-matrix classes, unit-modulus sweeps and conservation runs.
+"""Seeded random-matrix classes, unit-modulus sweeps and the spectral
+long-time conservation run.
 
 Random matrices are drawn from a counter-based Philox generator keyed by
 (seed, substream), so identical specs produce bit-identical matrices on any
@@ -8,12 +9,12 @@ platform.
 from __future__ import annotations
 
 import enum
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from unisplit import linalg
+from unisplit import linalg, spectral
 from unisplit.propagator import step_matrix
 from unisplit.schemes import SplittingScheme
 
@@ -23,7 +24,6 @@ __all__ = [
     "DiagnosticSeries",
     "generate",
     "dh_sweep",
-    "spectral_projectors",
     "conservation_run",
     "drift_slope",
 ]
@@ -31,8 +31,7 @@ __all__ = [
 #: Unit-modulus threshold below which an eigenvalue counts as "1 up to round-off".
 DH_THRESHOLD = 1e-10
 
-#: Minimum eigenvalue gap for "simple spectrum" classes; also the grouping
-#: tolerance used when building spectral projectors.
+#: Minimum eigenvalue gap for "simple spectrum" classes.
 EIGENVALUE_GAP = 1e-6
 
 
@@ -149,7 +148,7 @@ class DiagnosticSeries:
         if self.rows and x <= self.rows[-1][0]:
             raise ValueError("abscissa must be strictly increasing")
         row = (float(x),) + tuple(float(values[c]) for c in self.columns)
-        if not all(np.isfinite(row)):
+        if not all(map(math.isfinite, row)):
             raise ValueError(f"non-finite diagnostic value at {self.abscissa}={x}")
         self.rows.append(row)
 
@@ -167,17 +166,6 @@ class DiagnosticSeries:
         for row in self.rows:
             lines.append(",".join(f"{v:.17g}" for v in row))
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "abscissa": self.abscissa,
-                "columns": list(self.columns),
-                "rows": [list(r) for r in self.rows],
-                "meta": self.meta,
-            },
-            indent=2,
-        )
 
 
 def dh_sweep(
@@ -227,100 +215,52 @@ def dh_sweep(
     return series
 
 
-def spectral_projectors(
-    h_matrix, gap_tol: float = EIGENVALUE_GAP
-) -> list[tuple[float, np.ndarray]]:
-    """Spectral projectors of a real diagonalizable matrix with real spectrum.
-
-    Eigenvalues closer than ``gap_tol`` are grouped into one eigenspace.
-    Raises :class:`linalg.NumericalError` when a genuinely complex eigenvalue
-    is detected (class not covered by the theory).
-    """
-    hm = linalg.as_matrix(h_matrix, square=True)
-    scale = max(linalg.frobenius(hm), 1.0)
-    symmetric = np.max(np.abs(hm - hm.T)) <= 1e-12 * scale
-    if symmetric:
-        w, q = linalg.eig_symmetric(hm)
-        v = q.astype(complex)
-        w_inv = q.T.astype(complex)
-    else:
-        w, v = np.linalg.eig(hm.real)
-        if np.max(np.abs(w.imag)) > gap_tol:
-            raise linalg.NumericalError(
-                f"complex eigenvalues detected (max |Im| = {np.max(np.abs(w.imag)):.3e})"
-            )
-        order = np.argsort(w.real)
-        w, v = w[order].real, v[:, order]
-        w_inv = np.linalg.inv(v)
-
-    projectors = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[start] > gap_tol:
-            group = slice(start, i)
-            pi = v[:, group] @ w_inv[group, :]
-            projectors.append((float(np.mean(w[group])), pi))
-            start = i
-    return projectors
-
-
 def conservation_run(
     scheme: SplittingScheme,
-    a,
-    b,
+    grid: spectral.SpectralGrid,
+    v_pot: np.ndarray,
     u0,
     h: float,
     n_steps: int,
     sample_every: int = 1,
-    projectors: list[tuple[float, np.ndarray]] | None = None,
-    overflow: float = 1e12,
 ) -> DiagnosticSeries:
-    """Iterate S_h and record mass/energy/projection conservation errors.
+    """Take ``n_steps`` steps of ``scheme`` from ``u0`` with
+    :func:`spectral.split_step` and record how mass and energy are kept.
 
-    Columns: ``mass_err`` = |M(u_n) - M(u_0)|, ``energy_err`` = |Hform(u_n) -
-    Hform(u_0)| and, per projector, ``proj_err_k`` = || |Pi_k u_n| - |Pi_k u_0| ||.
-    Aborts with :class:`linalg.NumericalError` on overflow (signals h > h*).
+    At every step n with ``n % sample_every == 0``, and at the last step, a
+    row records ``t`` = n h, ``mass_err`` = |M(u_n) - M(u_0)| and
+    ``energy_err`` = |E(u_n) - E(u_0)| (from :func:`spectral.observables`)
+    and ``fft_count``, the stepping FFTs so far.  An overflow, which
+    ``split_step`` reports as :class:`linalg.NumericalError`, ends the run:
+    ``meta["aborted_at_step"]`` and ``meta["aborted"]`` record the step and
+    the message, and the rows before it are kept.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    am = linalg.as_matrix(a, square=True)
-    bm = linalg.as_matrix(b, square=True)
-    hm = am + bm
-    u = linalg.as_vector(u0)
-    s_h = step_matrix(scheme, am, bm, h)
-
-    proj = projectors or []
-    cols = ("mass_err", "energy_err") + tuple(
-        f"proj_err_{k}" for k in range(len(proj))
+    counter = spectral.FftCounter()
+    obs0 = spectral.observables(grid, v_pot, u0)
+    series = DiagnosticSeries(
+        abscissa="t", columns=("mass_err", "energy_err", "fft_count")
     )
-    series = DiagnosticSeries(abscissa="n", columns=cols)
     series.meta["scheme"] = scheme.name
-    series.meta["h"] = h
-
-    mass0 = float(np.vdot(u, u).real)
-    energy0 = float(np.vdot(u, hm @ u).real)
-    proj_norm0 = [float(np.linalg.norm(p @ u)) for _, p in proj]
-
-    def record(n: int, state: np.ndarray) -> None:
-        vals = {
-            "mass_err": abs(float(np.vdot(state, state).real) - mass0),
-            "energy_err": abs(float(np.vdot(state, hm @ state).real) - energy0),
-        }
-        for k, (_, p) in enumerate(proj):
-            vals[f"proj_err_{k}"] = abs(
-                float(np.linalg.norm(p @ state)) - proj_norm0[k]
-            )
-        series.add(n, vals)
-
-    for n in range(1, n_steps + 1):
-        u = s_h @ u
-        norm = float(np.linalg.norm(u))
-        if not np.isfinite(norm) or norm > overflow:
-            raise linalg.NumericalError(
-                f"state overflow at step {n} (|u| = {norm:.3e}); h exceeds h*"
-            )
-        if n % sample_every == 0 or n == n_steps:
-            record(n, u)
+    u = u0
+    # an overflow is reported by split_step's own check, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            try:
+                u = spectral.split_step(scheme, grid, v_pot, u, h, counter)
+            except linalg.NumericalError as exc:
+                series.meta["aborted_at_step"] = n
+                series.meta["aborted"] = str(exc)
+                break
+            if n % sample_every == 0 or n == n_steps:
+                obs = spectral.observables(grid, v_pot, u)
+                series.add(
+                    n * h,
+                    {
+                        "mass_err": abs(obs["mass"] - obs0["mass"]),
+                        "energy_err": abs(obs["energy"] - obs0["energy"]),
+                        "fft_count": counter.count,
+                    },
+                )
     return series
 
 

@@ -14,7 +14,6 @@ __all__ = [
     "DimensionError",
     "NumericalError",
     "as_matrix",
-    "as_vector",
     "frobenius",
     "expm",
     "eig_general",
@@ -45,16 +44,6 @@ def as_matrix(m, square: bool = False, stack: bool = False) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     if square and a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def as_vector(v) -> np.ndarray:
-    """Validate and return ``v`` as a 1-D complex array with finite entries."""
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1:
-        raise DimensionError(f"expected a vector, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("vector has non-finite entries")
     return a
 
 

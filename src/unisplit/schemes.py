@@ -1,4 +1,4 @@
-"""Splitting-scheme catalog: coefficient sequences, expansion and transformations.
+"""Splitting-scheme catalog: coefficient sequences and their expansion.
 
 A scheme is stored as its ordered factor sequence ``(op, coefficient)`` in
 APPLICATION order: the first factor in the list is the first exponential
@@ -11,7 +11,6 @@ conjugate elementwise; palindromic schemes equal their own reversal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,13 +25,8 @@ __all__ = [
     "get_scheme",
     "expand_entry",
     "validate",
-    "conjugate_scheme",
-    "reverse_scheme",
-    "compose_half",
     "drift_comparator",
     "delta_norms",
-    "scheme_to_json",
-    "scheme_from_json",
 ]
 
 CONSISTENCY_TOL = 1e-12
@@ -221,59 +215,6 @@ def validate(scheme: SplittingScheme) -> ValidationReport:
         consistent=scheme.is_consistent,
         symmetric_conjugate=scheme.is_symmetric_conjugate,
         positive_real_parts=a_ok and b_ok,
-    )
-
-
-def conjugate_scheme(scheme: SplittingScheme, name: str | None = None) -> SplittingScheme:
-    """Replace every coefficient by its complex conjugate."""
-    return SplittingScheme(
-        name=name or f"conj({scheme.name})",
-        kind=scheme.kind,
-        order=scheme.order,
-        rkn=scheme.rkn,
-        factors=tuple(Factor(f.op, f.coeff.conjugate()) for f in scheme.factors),
-    )
-
-
-def reverse_scheme(scheme: SplittingScheme, name: str | None = None) -> SplittingScheme:
-    """Reverse the factor order (application order flipped)."""
-    first = scheme.factors[-1].op
-    kind = "ABA" if first == "A" else "BAB"
-    return SplittingScheme(
-        name=name or f"rev({scheme.name})",
-        kind=kind,
-        order=scheme.order,
-        rkn=scheme.rkn,
-        factors=scheme.factors[::-1],
-    )
-
-
-def compose_half(
-    s1: SplittingScheme, s2: SplittingScheme, name: str | None = None
-) -> SplittingScheme:
-    """Concatenate ``s1`` then ``s2`` with all coefficients halved.
-
-    One composed step at h equals s1 at h/2 followed by s2 at h/2.  Adjacent
-    equal-tag factors at the junction are merged (their halved coefficients
-    summed), matching how composed methods are costed.
-    """
-    seq = [Factor(f.op, f.coeff / 2) for f in s1.factors] + [
-        Factor(f.op, f.coeff / 2) for f in s2.factors
-    ]
-    merged: list[Factor] = []
-    for f in seq:
-        if merged and merged[-1].op == f.op:
-            merged[-1] = Factor(f.op, merged[-1].coeff + f.coeff)
-        else:
-            merged.append(f)
-    kind = "ABA" if merged[0].op == "A" else "BAB"
-    order = min(s1.order, s2.order)
-    return SplittingScheme(
-        name=name or f"compose({s1.name},{s2.name})",
-        kind=kind,
-        order=order,
-        rkn=s1.rkn and s2.rkn,
-        factors=tuple(merged),
     )
 
 
@@ -508,36 +449,3 @@ def get_scheme(name: str) -> SplittingScheme:
         if s.name == name:
             return s
     raise KeyError(f"unknown scheme {name!r}; available: {catalog_names()}")
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-
-def scheme_to_json(scheme: SplittingScheme) -> str:
-    """Serialize with coefficients as decimal strings (17 significant digits)."""
-    payload = {
-        "name": scheme.name,
-        "kind": scheme.kind,
-        "order": scheme.order,
-        "rkn": scheme.rkn,
-        "factors": [
-            {"op": f.op, "re": f"{f.coeff.real:.17g}", "im": f"{f.coeff.imag:.17g}"}
-            for f in scheme.factors
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def scheme_from_json(text: str) -> SplittingScheme:
-    payload = json.loads(text)
-    factors = tuple(
-        Factor(f["op"], complex(float(f["re"]), float(f["im"])))
-        for f in payload["factors"]
-    )
-    return SplittingScheme(
-        name=payload["name"],
-        kind=payload["kind"],
-        order=int(payload["order"]),
-        rkn=bool(payload["rkn"]),
-        factors=factors,
-    )

@@ -59,9 +59,6 @@ class FftCounter:
 
     count: int = 0
 
-    def reset(self) -> None:
-        self.count = 0
-
 
 @dataclass(frozen=True)
 class SpectralGrid:

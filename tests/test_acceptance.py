@@ -19,7 +19,7 @@ Criterion 5b checks the design order p of each RKN scheme in two parts:
 import numpy as np
 import pytest
 
-from unisplit import cli, experiments, propagator, schemes, spectral
+from unisplit import experiments, propagator, schemes, spectral
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -228,12 +228,17 @@ def test_criterion_06_eigenphase_superconvergence():
 H_CONSERVATION = 100.0 / 909.0
 
 
-def _conservation_stats(n_steps, sample_every):
+def _conservation_run(scheme, n_steps, sample_every):
     grid = spectral.SpectralGrid(n=256)
     v = spectral.pt_potential(grid)
-    series = cli._spectral_conservation(
-        schemes.get_scheme("NB11s6"), grid, v, H_CONSERVATION,
+    return experiments.conservation_run(
+        scheme, grid, v, spectral.initial_gaussian(grid), H_CONSERVATION,
         n_steps, sample_every)
+
+
+def _conservation_stats(n_steps, sample_every):
+    series = _conservation_run(schemes.get_scheme("NB11s6"), n_steps,
+                               sample_every)
     out = {}
     for col in ("mass_err", "energy_err"):
         out[col] = (
@@ -244,10 +249,7 @@ def _conservation_stats(n_steps, sample_every):
 
 
 def _comparator_energy_drift():
-    grid = spectral.SpectralGrid(n=256)
-    v = spectral.pt_potential(grid)
-    series = cli._spectral_conservation(
-        schemes.drift_comparator(), grid, v, H_CONSERVATION, 100, 1)
+    series = _conservation_run(schemes.drift_comparator(), 100, 1)
     return experiments.drift_slope(series, "energy_err") * H_CONSERVATION
 
 
@@ -302,27 +304,18 @@ def test_criterion_09_oracle_equivalence(pt64):
            f"worst relative deviation {worst:.2e} (tol 1e-10)")
 
 
-def _max_energy_error(scheme, grid, v, h, t_final):
-    n_steps = max(1, round(t_final / h))
-    counter = spectral.FftCounter()
-    u = spectral.initial_gaussian(grid)
-    e0 = spectral.observables(grid, v, u)["energy"]
-    worst = 0.0
-    for _ in range(n_steps):
-        u = spectral.split_step(scheme, grid, v, u, h, counter)
-        worst = max(worst, abs(spectral.observables(grid, v, u)["energy"] - e0))
-    return worst, counter.count
-
-
 def test_criterion_10_efficiency_at_equal_cost(pt256):
     """At order 4 and matched FFT budget the reversible complex scheme must
     beat the real triple-jump composition on max energy error."""
     grid, v = pt256
     t_final = 100.0
-    new = schemes.get_scheme("NB5s4")        # 5 A-factors per step
-    ref = schemes.get_scheme("triple_jump4")  # 4 A-factors per step
-    err_new, fft_new = _max_energy_error(new, grid, v, 0.125, t_final)
-    err_ref, fft_ref = _max_energy_error(ref, grid, v, 0.1, t_final)
+    u0 = spectral.initial_gaussian(grid)
+    runs = [experiments.conservation_run(schemes.get_scheme(name), grid, v, u0,
+                                         h, round(t_final / h))
+            for name, h in (("NB5s4", 0.125),          # 5 A-factors per step
+                            ("triple_jump4", 0.1))]    # 4 A-factors per step
+    err_new, err_ref = (r.column("energy_err").max() for r in runs)
+    fft_new, fft_ref = (int(r.column("fft_count")[-1]) for r in runs)
     ok = fft_new == fft_ref and err_new < err_ref
     report("10 efficiency at equal FFT count", ok,
            f"NB5s4 {err_new:.2e} vs triple_jump4 {err_ref:.2e} "

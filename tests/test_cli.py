@@ -60,11 +60,20 @@ def test_config_hash_is_canonical():
     assert len(h1) == 16
 
 
-def test_run_invalid_config_exit_code(capsys):
-    status = cli.run({"experiment": "NOPE"})
-    assert status == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "invalid config"
+def test_run_invalid_config_exit_code(tmp_path, capsys):
+    for raw in (
+        {"experiment": "NOPE"},
+        cfg(seed="x"),
+        cfg(sample_every="a"),
+        cfg(threshold="tiny"),
+        cfg(h_range={"min": 0.1, "max": 1.0, "points": "five"}),
+        cfg(h_range={"min": 0.1, "points": 5}),
+        cfg(h_range={"max": 1.0}),
+    ):
+        assert cli.run(raw, out_dir=str(tmp_path)) == 2, raw
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid config"
+    assert not list(tmp_path.iterdir())
 
 
 def test_schemes_list_artifact(tmp_path, capsys):
@@ -214,7 +223,11 @@ def test_duplicate_h_values_rejected(tmp_path, capsys, experiment):
     {"experiment": "CONSERVATION", "schemes": ["strang"], "grid": {"n": 100}},
     {"experiment": "DH_SWEEP", "schemes": ["strang"],
      "matrix": {"class": "SYM_SIMPLE", "n": 0}},
-], ids=["order_dense_limit", "grid_not_power_of_two", "matrix_n_zero"])
+    {"experiment": "DH_SWEEP", "schemes": ["strang"], "h_values": []},
+    {"experiment": "DH_SWEEP", "schemes": ["strang"],
+     "h_range": {"min": 0.1, "max": 1.0, "points": 0}},
+], ids=["order_dense_limit", "grid_not_power_of_two", "matrix_n_zero",
+        "empty_h_values", "h_range_no_points"])
 def test_bad_sizes_are_config_errors(tmp_path, capsys, raw):
     assert cli.run(raw, out_dir=str(tmp_path)) == 2
     err = json.loads(capsys.readouterr().err)

@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from unisplit import experiments as ex
-from unisplit import linalg, schemes
+from unisplit import linalg, schemes, spectral
 from unisplit.experiments import (
     DiagnosticSeries,
     MatrixClass,
@@ -13,7 +11,6 @@ from unisplit.experiments import (
     dh_sweep,
     drift_slope,
     generate,
-    spectral_projectors,
 )
 
 
@@ -87,8 +84,10 @@ class TestDiagnosticSeries:
 
     def test_rejects_nonfinite(self):
         s = DiagnosticSeries(abscissa="h", columns=("e",))
-        with pytest.raises(ValueError):
-            s.add(0.1, {"e": np.inf})
+        for x, e in ((0.1, np.inf), (0.1, np.nan), (0.1, -np.inf), (np.inf, 1.0)):
+            with pytest.raises(ValueError, match="non-finite"):
+                s.add(x, {"e": e})
+        assert s.rows == []
 
     def test_csv_layout(self):
         s = DiagnosticSeries(abscissa="h", columns=("e",))
@@ -98,15 +97,6 @@ class TestDiagnosticSeries:
         assert lines[0] == "# hello"
         assert lines[1] == "h,e"
         assert lines[2] == "0.5,3"
-
-    def test_json_round_trip(self):
-        s = DiagnosticSeries(abscissa="t", columns=("a", "b"))
-        s.add(1.0, {"a": 0.25, "b": -1.0})
-        s.meta["note"] = "x"
-        doc = json.loads(s.to_json())
-        assert doc["columns"] == ["a", "b"]
-        assert doc["rows"] == [[1.0, 0.25, -1.0]]
-        assert doc["meta"] == {"note": "x"}
 
 
 def test_dh_sweep_threshold_detection(sym_split):
@@ -151,46 +141,26 @@ def test_dh_sweep_no_threshold_on_generic_matrices():
     assert series.meta["h_star"] is None
 
 
-def test_spectral_projectors_partition(sym_split):
-    h, _, _ = sym_split
-    proj = spectral_projectors(h)
-    total = sum(p for _, p in proj)
-    assert np.allclose(total, np.eye(10), atol=1e-10)
-    for _, p in proj:
-        assert np.allclose(p @ p, p, atol=1e-10)
-        assert np.allclose(p @ h, h @ p, atol=1e-10)
-
-
-def test_spectral_projectors_group_multiplicities():
-    h, _, _ = generate(spec_of("MULTIPLE_EIGS_DIAG", multiplicities=(5, 5)))
-    proj = spectral_projectors(h)
-    assert len(proj) == 2
-    ranks = sorted(round(np.trace(p).real) for _, p in proj)
-    assert ranks == [5, 5]
-
-
-def test_conservation_run_reversible_scheme(sym_split, rng):
-    """Below the threshold the errors stay bounded (similar-to-unitary, not
-    unitary: the oscillation amplitude scales like h^p, it does not grow)."""
-    _, a, b = sym_split
-    u0 = rng.standard_normal(10)
-    u0 = u0 / np.linalg.norm(u0)
-    coarse = conservation_run(schemes.get_scheme("S31"), a, b, u0,
-                              h=0.05, n_steps=400, sample_every=20)
-    fine = conservation_run(schemes.get_scheme("S31"), a, b, u0,
-                            h=0.01, n_steps=2000, sample_every=100)
-    assert coarse.column("mass_err").max() < 1e-3
-    # order-3 scheme: shrinking h by 5 shrinks the bound by roughly 5^3
-    assert fine.column("mass_err").max() < coarse.column("mass_err").max() / 50
-    assert fine.column("energy_err").max() < 1e-6
-
-
-def test_conservation_run_overflow_aborts(sym_split):
-    _, a, b = sym_split
-    u0 = np.ones(10) / np.sqrt(10.0)
-    with pytest.raises(linalg.NumericalError, match="overflow"):
-        conservation_run(schemes.drift_comparator(), a, b, u0,
-                         h=5.0, n_steps=2000, sample_every=100)
+def test_conservation_run_samples_a_bare_loop(pt64):
+    """Rows fall at the multiples of sample_every and at the last step; each
+    holds the bits of a bare split_step/observables loop and two FFTs per
+    A-factor and step so far."""
+    grid, v, _, _, _ = pt64
+    s = schemes.get_scheme("NB5s4")
+    n_a = sum(f.op == "A" for f in s.factors)
+    h, n_steps = 0.1, 23
+    u = spectral.initial_gaussian(grid)
+    series = conservation_run(s, grid, v, u, h, n_steps, sample_every=5)
+    obs0 = spectral.observables(grid, v, u)
+    expected = []
+    for n in range(1, n_steps + 1):
+        u = spectral.split_step(s, grid, v, u, h)
+        if n in (5, 10, 15, 20, 23):
+            obs = spectral.observables(grid, v, u)
+            expected.append((n * h, abs(obs["mass"] - obs0["mass"]),
+                             abs(obs["energy"] - obs0["energy"]), 2 * n_a * n))
+    assert series.rows == expected
+    assert "aborted" not in series.meta
 
 
 def test_drift_slope_recovers_linear_trend():

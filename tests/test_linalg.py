@@ -24,15 +24,6 @@ def test_as_matrix_rejects_nonfinite():
         linalg.as_matrix(m)
 
 
-def test_as_vector():
-    v = linalg.as_vector([1, 2j])
-    assert v.dtype == complex and v.shape == (2,)
-    with pytest.raises(linalg.DimensionError):
-        linalg.as_vector(np.eye(2))
-    with pytest.raises(ValueError):
-        linalg.as_vector([np.inf, 0.0])
-
-
 def test_frobenius(rng):
     m = rng.standard_normal((5, 3))
     assert linalg.frobenius(m) == pytest.approx(np.sqrt((m**2).sum()))

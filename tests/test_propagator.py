@@ -241,17 +241,6 @@ def test_reversibility_fails_for_non_reversible_scheme(sym_split):
     assert rep["sc2_residual"] > 1e-3
 
 
-def test_compose_half_equals_full_step(sym_split):
-    _, a, b = sym_split
-    s = schemes.get_scheme("S31")
-    c = schemes.compose_half(s, s)
-    assert np.allclose(
-        step_matrix(c, a, b, 0.4),
-        step_matrix(s, a, b, 0.2) @ step_matrix(s, a, b, 0.2),
-        atol=1e-13,
-    )
-
-
 def test_empirical_order_strang(sym_split):
     _, a, b = sym_split
     fit = empirical_order(schemes.get_scheme("strang"), a, b,

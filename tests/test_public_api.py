@@ -1,0 +1,47 @@
+"""Guards on what code outside the package reads of it."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import unisplit
+
+MODULES = [m.name for m in pkgutil.iter_modules(unisplit.__path__)]
+
+
+@pytest.mark.parametrize("short", MODULES)
+def test_every_exported_name_exists(short):
+    # the benchmark's tracer looks up each name of __all__ with getattr
+    module = importlib.import_module(f"unisplit.{short}")
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing, f"unisplit.{short}.__all__ names missing {missing}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_acceptance_suite_reads_no_private_names():
+    tree = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+    bound = set()  # local names of unisplit and its modules
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names
+                         if a.name.split(".")[0] == "unisplit")
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "unisplit":
+            private += [a.name for a in node.names if _is_private(a.name)]
+            bound.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                private.append(f"{root.id}...{node.attr} (line {node.lineno})")
+    assert bound, "no unisplit import found"
+    assert not private, f"the acceptance suite reads private names: {private}"

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,15 +10,10 @@ from unisplit.schemes import (
     TableEntry,
     catalog,
     catalog_names,
-    compose_half,
-    conjugate_scheme,
     delta_norms,
     drift_comparator,
     expand_entry,
     get_scheme,
-    reverse_scheme,
-    scheme_from_json,
-    scheme_to_json,
 )
 
 ALL_NAMES = catalog_names()
@@ -115,26 +108,11 @@ def test_expand_entry_rejects_inconsistent_closure():
 def test_conjugate_reverse_identity_for_reversible_schemes(name):
     # symmetric-conjugate <=> the reversed conjugate is the scheme itself
     s = get_scheme(name)
-    t = conjugate_scheme(reverse_scheme(s))
+    t = [Factor(f.op, f.coeff.conjugate()) for f in reversed(s.factors)]
     assert all(
         f.op == g.op and abs(f.coeff - g.coeff) <= 1e-15
-        for f, g in zip(s.factors, t.factors)
+        for f, g in zip(s.factors, t)
     )
-
-
-def test_conjugate_and_reverse_are_involutions():
-    s = get_scheme("NB5s4")
-    assert conjugate_scheme(conjugate_scheme(s)).factors == s.factors
-    assert reverse_scheme(reverse_scheme(s)).factors == s.factors
-
-
-def test_compose_half_merges_junction():
-    st_ = get_scheme("strang")  # A(1/2) B(1) A(1/2)
-    c = compose_half(st_, st_)
-    # junction A(1/4)+A(1/4) merges: A B A B A with halved weights
-    assert [f.op for f in c.factors] == ["A", "B", "A", "B", "A"]
-    assert c.factors[2].coeff == pytest.approx(0.5)
-    assert c.is_consistent and c.is_palindromic
 
 
 def test_drift_comparator_shape():
@@ -151,21 +129,6 @@ def test_drift_comparator_shape():
 def test_delta_norms_strang():
     assert delta_norms(get_scheme("strang")) == (
         pytest.approx(1.0), pytest.approx(1.0))
-
-
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_json_round_trip(name):
-    s = get_scheme(name)
-    t = scheme_from_json(scheme_to_json(s))
-    assert t.name == s.name and t.kind == s.kind and t.order == s.order
-    assert t.rkn == s.rkn
-    assert t.factors == s.factors  # bit-exact through the decimal encoding
-
-
-def test_scheme_json_is_valid_json():
-    doc = json.loads(scheme_to_json(get_scheme("S31")))
-    assert doc["name"] == "S31"
-    assert all(set(f) == {"op", "re", "im"} for f in doc["factors"])
 
 
 @given(

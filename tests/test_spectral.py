@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -60,8 +62,6 @@ def test_counter_increments(grid64, rng):
     dft(grid64, u, c)
     idft(grid64, u, c)
     assert c.count == 2
-    c.reset()
-    assert c.count == 0
 
 
 def test_pt_potential_depth(grid256):
@@ -277,7 +277,8 @@ def test_phase_cache_keys_on_h_grid_and_dtype(pt64, change):
     split_step(s, grid, v, initial_gaussian(grid), h)
     if change == "scheme":
         # the same name with other coefficients: equal hashes, unequal schemes
-        s = schemes.conjugate_scheme(s, name=s.name)
+        s = dataclasses.replace(s, factors=tuple(
+            schemes.Factor(f.op, f.coeff.conjugate()) for f in s.factors))
         assert hash(s) == hash(schemes.get_scheme("NB5s4"))
     elif change == "h":
         h = 0.1 + 2**-40
