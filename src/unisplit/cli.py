@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,163 +20,194 @@ import numpy as np
 import unisplit
 from unisplit import experiments, linalg, propagator, schemes, spectral
 
-EXPERIMENTS = (
-    "SCHEMES_LIST",
-    "VALIDATE",
-    "DH_SWEEP",
-    "CONSERVATION",
-    "EFFICIENCY",
-    "ORDER",
-    "RKN_CHECK",
-)
-
-_CONFIG_FIELDS = {
-    "experiment", "schemes", "matrix", "grid", "h_values", "h_range",
-    "t_final", "n_steps", "sample_every", "seed", "output",
-    "include_comparator", "threshold",
-}
-_MATRIX_FIELDS = {"class", "n", "seed", "multiplicities"}
-_GRID_FIELDS = {"n", "x_min", "x_max", "alpha", "lam_prod"}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _number(raw: dict, key: str, kind: type, default):
-    """``kind(raw[key])``, or ``kind(default)`` when absent; a value that
-    does not convert is a :class:`ConfigError`."""
+def _geomspace(lo: float, hi: float, points: int) -> list[float]:
+    return [float(h) for h in np.geomspace(lo, hi, points)]
+
+
+_SCHEME_NAMES = schemes.catalog_names()
+_COMMON = {"experiment": None, "output": "."}
+_GRID = {"n": 256, "x_min": -8.0, "x_max": 8.0, "alpha": 1.0, "lam_prod": 10.0}
+_MATRIX = {"class": "SYM_SIMPLE", "n": 10, "seed": 0, "multiplicities": []}
+_H_RANGE = {"min": None, "max": None, "points": 16}
+
+#: Every field each experiment reads besides those of ``_COMMON``, with its
+#: default.  ``None`` marks a field that must be given, or one given instead
+#: of another: ``h_range`` instead of ``h_values``, ``n_steps`` instead of
+#: ``t_final`` and ``seed`` instead of ``matrix.seed``.  ORDER reads a
+#: matrix or, when it is given one, a grid.  A config that sets a field its
+#: experiment does not read, or both of such a pair, is a ConfigError.
+_FIELDS = {
+    "SCHEMES_LIST": {"schemes": _SCHEME_NAMES},
+    "VALIDATE": {"schemes": None},
+    "DH_SWEEP": {"schemes": None, "matrix": _MATRIX, "seed": None,
+                 "h_values": _geomspace(0.01, 10.0, 16), "h_range": None,
+                 "threshold": experiments.DH_THRESHOLD},
+    "CONSERVATION": {"schemes": ["NB11s6"], "grid": _GRID,
+                     "h_values": [100.0 / 909.0], "t_final": 1e4, "n_steps": None,
+                     "sample_every": 1, "include_comparator": True},
+    "EFFICIENCY": {"schemes": None, "grid": _GRID, "h_values": _geomspace(0.02, 0.4, 8),
+                   "h_range": None, "t_final": 100.0},
+    "ORDER": {"schemes": None, "matrix": _MATRIX, "seed": None,
+              "h_values": _geomspace(0.05, 0.4, 8), "h_range": None},
+    "ORDER on a grid": {"schemes": None, "grid": _GRID,
+                        "h_values": _geomspace(0.02, 0.25, 8), "h_range": None},
+    "RKN_CHECK": {"grid": _GRID},
+}
+
+
+def _integer(key: str, v, low: int = 1, high: float = math.inf) -> int:
+    if type(v) is not int or not low <= v <= high:  # a bool is not a JSON integer
+        raise ConfigError(f"{key} must be an integer in [{low}, {high}], got {v!r}")
+    return v
+
+
+def _real(key: str, v, positive: bool = True) -> float:
+    # JSON numbers only (bool is not one), and no integer beyond the float range
+    number = isinstance(v, float) or type(v) is int and abs(v) < 1e308
+    x = float(v) if number else math.nan
+    if not (math.isfinite(x) and (x > 0 or not positive)):
+        sign = "positive " if positive else ""
+        raise ConfigError(f"{key} must be a {sign}finite number, got {v!r}")
+    return x
+
+
+def _typed(kind: type):
+    """The reader of a JSON value that Python reads as a ``kind``."""
+    def read(key: str, v):
+        if not isinstance(v, kind):
+            raise ConfigError(f"{key} must be a JSON {kind.__name__}, got {v!r}")
+        return v
+    return read
+
+
+def _scheme_list(key: str, v) -> list[str]:
+    if not (isinstance(v, list) and v and all(isinstance(n, str) for n in v)):
+        raise ConfigError(f"{key} must be a non-empty scheme list, got {v!r}")
+    for name in v:
+        if name not in _SCHEME_NAMES:
+            raise ConfigError(f"unknown scheme {name!r}")
+    if len(set(v)) != len(v):
+        raise ConfigError(f"{key} must be distinct, got {v}")
+    return list(v)
+
+
+def _h_list(key: str, v) -> list[float]:
+    if not (isinstance(v, list) and v):
+        raise ConfigError(f"{key} must be a non-empty list of step sizes, got {v!r}")
+    hs = [_real(key, h) for h in v]
+    if len(set(hs)) != len(hs):
+        raise ConfigError(f"{key} must be distinct, got {hs}")
+    return hs
+
+
+def _object(key: str, v, defaults: dict) -> dict:
+    """``defaults`` updated with ``v``, a JSON object with no other keys."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {v!r}")
+    unknown = v.keys() - defaults.keys()
+    if unknown:
+        raise ConfigError(f"unknown {key} fields: {sorted(unknown)}")
+    return {**defaults, **v}
+
+
+def _build(what: str, make, *args):
+    """``make(*args)``, with its ``ValueError`` as a :class:`ConfigError`."""
     try:
-        return kind(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {raw.get(key)!r}") from exc
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _matrix(raw: dict) -> experiments.MatrixClassSpec:
+    given = raw.get("matrix", {})
+    m = _object("matrix", given, _MATRIX)
+    if "seed" in raw and "seed" in given:
+        raise ConfigError("seed and matrix.seed are both set; set one")
+    name, mult = m["class"], m["multiplicities"]
+    if name not in [c.name for c in experiments.MatrixClass]:
+        raise ConfigError(f"unknown matrix class {name!r}")
+    if "multiplicities" in given and not name.startswith("MULTIPLE_EIGS"):
+        raise ConfigError(f"matrix class {name} reads no multiplicities")
+    if not isinstance(mult, list):
+        raise ConfigError(f"matrix.multiplicities must be a list, got {mult!r}")
+    return _build("matrix", experiments.MatrixClassSpec, experiments.MatrixClass[name],
+                  _integer("matrix.n", m["n"]),
+                  _integer("seed", raw.get("seed", m["seed"]), 0, 2**64 - 1),
+                  tuple(_integer("matrix.multiplicities", k) for k in mult))
+
+
+def _grid(raw: dict, form: str) -> tuple[spectral.SpectralGrid, np.ndarray]:
+    g = _object("grid", raw.get("grid", {}), _GRID)
+    grid = _build("grid", spectral.SpectralGrid, _integer("grid.n", g["n"]),
+                  _real("grid.x_min", g["x_min"], False),
+                  _real("grid.x_max", g["x_max"], False))
+    if form == "ORDER on a grid" and grid.n > spectral.DENSE_MAX_N:
+        raise ConfigError(f"ORDER on a grid assembles a dense H: grid n must be "
+                          f"at most {spectral.DENSE_MAX_N}, got {grid.n}")
+    return grid, spectral.pt_potential(grid, _real("grid.alpha", g["alpha"]),
+                                       _real("grid.lam_prod", g["lam_prod"]))
+
+
+_READERS = {"output": _typed(str), "schemes": _scheme_list, "h_values": _h_list,
+            "t_final": _real, "sample_every": _integer,
+            "include_comparator": _typed(bool), "threshold": _real}
 
 
 @dataclass
 class ExperimentConfig:
+    """A config resolved against ``_FIELDS``: each field its experiment reads
+    holds the given value or the default, built once; the others are None."""
+
     experiment: str
-    schemes: list[str] = field(default_factory=list)
-    matrix: dict | None = None
-    grid: dict | None = None
+    output: str | None = None
+    schemes: list[str] | None = None
+    matrix: experiments.MatrixClassSpec | None = None
+    grid: tuple[spectral.SpectralGrid, np.ndarray] | None = None
     h_values: list[float] | None = None
     t_final: float | None = None
     n_steps: int | None = None
-    sample_every: int = 1
-    seed: int = 0
-    output: str = "."
-    include_comparator: bool = True
-    threshold: float = experiments.DH_THRESHOLD
+    sample_every: int | None = None
+    include_comparator: bool | None = None
+    threshold: float | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         exp = raw.get("experiment")
         if exp not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-        names = list(raw.get("schemes", []))
-        known = set(schemes.catalog_names())
-        for name in names:
-            if name not in known:
-                raise ConfigError(f"unknown scheme {name!r}")
-        if exp not in ("SCHEMES_LIST", "RKN_CHECK") and not names:
-            raise ConfigError(f"experiment {exp} requires a non-empty scheme list")
-        matrix = raw.get("matrix")
-        if matrix is not None:
-            bad = set(matrix) - _MATRIX_FIELDS
-            if bad:
-                raise ConfigError(f"unknown matrix fields: {sorted(bad)}")
-            if matrix.get("class") not in experiments.MatrixClass.__members__:
-                raise ConfigError(f"unknown matrix class {matrix.get('class')!r}")
-        grid = raw.get("grid")
-        if grid is not None:
-            bad = set(grid) - _GRID_FIELDS
-            if bad:
-                raise ConfigError(f"unknown grid fields: {sorted(bad)}")
-        h_values = raw.get("h_values")
-        rng = raw.get("h_range") if h_values is None else None
-        if rng is not None:
-            bad = set(rng) - {"min", "max", "points"}
-            if bad:
-                raise ConfigError(f"unknown h_range fields: {sorted(bad)}")
-        try:
-            if rng is not None:
-                h_values = np.geomspace(rng["min"], rng["max"],
-                                        int(rng.get("points", 16)))
-            if h_values is not None:
-                h_values = [float(h) for h in h_values]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"h_values, or h_range min, max and points, must be numbers: {exc!r}"
-            ) from exc
-        if h_values is not None:
-            if not h_values:
-                raise ConfigError("h values must not be empty")
-            if any(h <= 0 for h in h_values):
-                raise ConfigError("h values must be positive")
-            if len(set(h_values)) != len(h_values):
-                raise ConfigError(f"h values must be distinct, got {h_values}")
-        t_final = raw.get("t_final")
-        if t_final is not None:
-            t_final = _number(raw, "t_final", float, None)
-            if not (math.isfinite(t_final) and t_final > 0):
-                raise ConfigError(f"t_final must be positive and finite, got {t_final}")
-        n_steps = raw.get("n_steps")
-        if n_steps is not None and (
-            isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1
-        ):
-            raise ConfigError(f"n_steps must be a positive integer, got {n_steps!r}")
-        cfg = cls(
-            experiment=exp,
-            schemes=names,
-            matrix=matrix,
-            grid=grid,
-            h_values=h_values,
-            t_final=t_final,
-            n_steps=n_steps,
-            sample_every=_number(raw, "sample_every", int, 1),
-            seed=_number(raw, "seed", int, 0),
-            output=str(raw.get("output", ".")),
-            include_comparator=bool(raw.get("include_comparator", True)),
-            threshold=_number(raw, "threshold", float, experiments.DH_THRESHOLD),
-        )
-        # build what the experiment will build, so that a bad size is a
-        # config error here rather than a traceback from the experiment
-        try:
-            cfg.matrix_spec()
-            grid_n = cfg.spectral_grid()[0].n if grid is not None else None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid matrix or grid: {exc}") from exc
-        if exp == "ORDER" and grid_n is not None and grid_n > spectral.DENSE_MAX_N:
-            raise ConfigError(
-                f"ORDER on a grid assembles a dense H: grid n must be at most "
-                f"{spectral.DENSE_MAX_N}, got {grid_n}"
-            )
+        form = "ORDER on a grid" if exp == "ORDER" and "grid" in raw else exp
+        fields = {**_COMMON, **_FIELDS[form]}
+        unknown = raw.keys() - fields.keys()
+        if unknown:
+            raise ConfigError(f"unknown config fields for {form}: {sorted(unknown)}; "
+                              f"it reads {sorted(fields)}")
+        for pair in (("h_values", "h_range"), ("t_final", "n_steps")):
+            if raw.keys() >= set(pair):
+                raise ConfigError(f"{pair[0]} and {pair[1]} are both set; set one")
+        cfg = cls(exp)
+        for key, read in _READERS.items():
+            if key in fields:
+                setattr(cfg, key, read(key, raw.get(key, fields[key])))
+        if "h_range" in raw:
+            r = _object("h_range", raw["h_range"], _H_RANGE)
+            cfg.h_values = _h_list("h_range", _geomspace(
+                _real("h_range.min", r["min"]), _real("h_range.max", r["max"]),
+                _integer("h_range.points", r["points"])))
+        if "matrix" in fields:
+            cfg.matrix = _matrix(raw)
+        if "grid" in fields:
+            cfg.grid = _grid(raw, form)
+        if "n_steps" in fields:
+            cfg.n_steps = (_integer("n_steps", raw["n_steps"]) if "n_steps" in raw
+                           else max(1, round(cfg.t_final / cfg.h_values[0])))
+        if exp == "CONSERVATION" and len(cfg.h_values) != 1:
+            raise ConfigError(f"CONSERVATION runs one h; h_values has {cfg.h_values}")
         return cfg
-
-    def matrix_spec(self) -> experiments.MatrixClassSpec:
-        m = self.matrix or {"class": "SYM_SIMPLE"}
-        return experiments.MatrixClassSpec(
-            matrix_class=experiments.MatrixClass[m["class"]],
-            n=int(m.get("n", 10)),
-            seed=int(m.get("seed", self.seed)),
-            multiplicities=tuple(m.get("multiplicities", ())),
-        )
-
-    def spectral_grid(self) -> tuple[spectral.SpectralGrid, np.ndarray]:
-        g = self.grid or {}
-        grid = spectral.SpectralGrid(
-            n=int(g.get("n", 256)),
-            x_min=float(g.get("x_min", -8.0)),
-            x_max=float(g.get("x_max", 8.0)),
-        )
-        v = spectral.pt_potential(
-            grid,
-            alpha=float(g.get("alpha", 1.0)),
-            lam_prod=float(g.get("lam_prod", 10.0)),
-        )
-        return grid, v
 
 
 def _config_hash(raw: dict) -> str:
@@ -197,16 +228,11 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _default_h_grid() -> list[float]:
-    return list(np.geomspace(0.01, 10.0, 16))
-
-
 def _run_schemes_list(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
-    listed = cfg.schemes or schemes.catalog_names()
     lines = [f"# {c}" for c in _header(cfg_hash)]
     lines.append("name,kind,order,stages,delta_a,delta_b")
     print(f"{'name':<14}{'kind':<6}{'order':<7}{'stages':<8}{'Δa':<10}{'Δb':<10}")
-    for name in listed:
+    for name in cfg.schemes:
         s = schemes.get_scheme(name)
         da, db = schemes.delta_norms(s)
         lines.append(f"{s.name},{s.kind},{s.order},{s.stages},{da:.17g},{db:.17g}")
@@ -228,12 +254,11 @@ def _run_validate(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
 
 
 def _run_dh_sweep(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
-    spec = cfg.matrix_spec()
+    spec = cfg.matrix
     _, a, b = experiments.generate(spec)
-    h_grid = cfg.h_values or _default_h_grid()
     for name in cfg.schemes:
         series = experiments.dh_sweep(
-            schemes.get_scheme(name), a, b, h_grid, threshold=cfg.threshold
+            schemes.get_scheme(name), a, b, cfg.h_values, threshold=cfg.threshold
         )
         extra = [
             f"matrix class {spec.matrix_class.value} n={spec.n} seed={spec.seed}",
@@ -243,24 +268,18 @@ def _run_dh_sweep(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
         print(f"{name}: h* = {series.meta['h_star']}")
 
 
-def _conservation_schemes(cfg: ExperimentConfig) -> list[schemes.SplittingScheme]:
-    chosen = [schemes.get_scheme(n) for n in (cfg.schemes or ["NB11s6"])]
-    if cfg.include_comparator:
-        chosen.append(schemes.drift_comparator())
-    return chosen
-
-
 def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
-    grid, v = cfg.spectral_grid()
-    h = cfg.h_values[0] if cfg.h_values else 100.0 / 909.0
-    t_final = cfg.t_final if cfg.t_final is not None else 1e4
-    n_steps = cfg.n_steps if cfg.n_steps is not None else max(1, round(t_final / h))
+    grid, v = cfg.grid
+    (h,), n_steps = cfg.h_values, cfg.n_steps
     # at most about 2000 samples per run
-    sample_every = max(cfg.sample_every, n_steps // 2000, 1)
+    sample_every = max(cfg.sample_every, n_steps // 2000)
     raised = ([f"sample_every raised from {cfg.sample_every} to {sample_every}"]
               if sample_every != cfg.sample_every else [])
     u0 = spectral.initial_gaussian(grid)
-    for s in _conservation_schemes(cfg):
+    chosen = [schemes.get_scheme(n) for n in cfg.schemes]
+    if cfg.include_comparator:
+        chosen.append(schemes.drift_comparator())
+    for s in chosen:
         series = experiments.conservation_run(s, grid, v, u0, h, n_steps,
                                               sample_every)
         aborted = ([f"aborted at step {series.meta['aborted_at_step']}: "
@@ -269,7 +288,7 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
         extra = [
             f"scheme {s.name} h {h:.17g} n_steps {n_steps}",
             *raised,
-            "scheme: catalog entry" if s.name in schemes.catalog_names() else
+            "scheme: catalog entry" if s.name in _SCHEME_NAMES else
             "comparator: order-2 palindromic scheme with complex potential "
             "weights, not symmetric-conjugate",
             *aborted,
@@ -286,9 +305,7 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
 
 
 def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
-    grid, v = cfg.spectral_grid()
-    t_final = cfg.t_final if cfg.t_final is not None else 100.0
-    h_grid = cfg.h_values or list(np.geomspace(0.02, 0.4, 8))
+    grid, v = cfg.grid
     u0 = spectral.initial_gaussian(grid)
     for name in cfg.schemes:
         s = schemes.get_scheme(name)
@@ -296,37 +313,29 @@ def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
             abscissa="h", columns=("fft_count", "max_energy_err")
         )
         skipped = []
-        for h in sorted(h_grid):
+        for h in sorted(cfg.h_values):
             run = experiments.conservation_run(s, grid, v, u0, h,
-                                               max(1, round(t_final / h)))
+                                               max(1, round(cfg.t_final / h)))
             if "aborted" in run.meta:
                 # unstable cell: no data row, but the header records it
                 skipped.append(f"skipped h {h:.17g}: {run.meta['aborted']}")
                 continue
             series.add(h, {"fft_count": run.column("fft_count")[-1],
                            "max_energy_err": run.column("energy_err").max()})
-        _write(
-            out / f"efficiency_{name}.csv",
-            series.to_csv(_header(cfg_hash, [f"t_final {t_final:.17g}", *skipped])),
-        )
+        extra = [f"t_final {cfg.t_final:.17g}", *skipped]
+        _write(out / f"efficiency_{name}.csv", series.to_csv(_header(cfg_hash, extra)))
         print(f"{name}: {len(series.rows)} efficiency points")
 
 
 def _run_order(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
-    use_grid = cfg.grid is not None
-    if use_grid:
-        grid, v = cfg.spectral_grid()
-        h_grid = cfg.h_values or list(np.geomspace(0.02, 0.25, 8))
-    else:
-        spec = cfg.matrix_spec()
-        _, a, b = experiments.generate(spec)
-        h_grid = cfg.h_values or list(np.geomspace(0.05, 0.4, 8))
+    if cfg.matrix is not None:
+        _, a, b = experiments.generate(cfg.matrix)
     for name in cfg.schemes:
         s = schemes.get_scheme(name)
-        if use_grid:
-            fit = spectral.pt_empirical_order(s, grid, v, h_grid)
+        if cfg.grid is not None:
+            fit = spectral.pt_empirical_order(s, *cfg.grid, cfg.h_values)
         else:
-            fit = propagator.empirical_order(s, a, b, h_grid)
+            fit = propagator.empirical_order(s, a, b, cfg.h_values)
         series = experiments.DiagnosticSeries(abscissa="h", columns=("error",))
         for h, e in sorted(zip(fit.h_used, fit.errors)):
             series.add(h, {"error": e})
@@ -337,7 +346,7 @@ def _run_order(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
 
 
 def _run_rkn_check(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
-    grid, v = cfg.spectral_grid()
+    grid, v = cfg.grid
     u0 = spectral.initial_gaussian(grid)
     residual = spectral.rkn_residual(grid, v, u0)
     payload = {
@@ -359,6 +368,7 @@ _DISPATCH = {
     "ORDER": _run_order,
     "RKN_CHECK": _run_rkn_check,
 }
+EXPERIMENTS = tuple(_DISPATCH)
 
 
 def run(raw_config: dict, out_dir: str | None = None) -> int:
@@ -392,15 +402,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override seed")
     args = parser.parse_args(argv)
 
+    raw = {}
     if args.config is not None:
         try:
             raw = json.loads(args.config.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(raw, dict):
+                raise ValueError(f"a config is a JSON object, not {raw!r}")
+        except (OSError, ValueError) as exc:
             print(json.dumps({"error": "unreadable config", "detail": str(exc)}),
                   file=sys.stderr)
             return 2
-    else:
-        raw = {"experiment": args.experiment.upper()}
     raw.setdefault("experiment", args.experiment.upper())
     if raw["experiment"] != args.experiment.upper():
         print(json.dumps({"error": "config/CLI experiment mismatch"}),

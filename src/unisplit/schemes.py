@@ -114,14 +114,6 @@ class SplittingScheme:
             for f, r in zip(self.factors, rev)
         )
 
-    @property
-    def is_palindromic(self) -> bool:
-        rev = self.factors[::-1]
-        return all(
-            f.op == r.op and abs(f.coeff - r.coeff) <= SYMMETRY_TOL
-            for f, r in zip(self.factors, rev)
-        )
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -178,9 +178,9 @@ def _half_k2(grid: SpectralGrid) -> np.ndarray:
     return half_k2
 
 
-def _a_action(grid: SpectralGrid, u: np.ndarray, counter: FftCounter | None) -> np.ndarray:
+def _a_action(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     """A u = idft(-k^2/2 * dft(u)); A is the minus kinetic matrix."""
-    return idft(grid, -_half_k2(grid) * dft(grid, u, counter), counter)
+    return idft(grid, -_half_k2(grid) * dft(grid, u))
 
 
 @functools.lru_cache(maxsize=1)
@@ -302,8 +302,7 @@ def observables(grid: SpectralGrid, v_pot: np.ndarray, u) -> dict[str, float]:
     sanity value.
     """
     state = _check_length(grid, u)
-    counter = FftCounter()  # observable FFTs are not part of stepping cost
-    hu = _a_action(grid, state, counter) - v_pot * state
+    hu = _a_action(grid, state) - v_pot * state
     form = grid.dx * complex(np.vdot(state, hu))
     mass = grid.dx * float(np.sum(np.abs(state) ** 2))
     return {"mass": mass, "energy": form.real, "energy_imag": form.imag}
@@ -317,11 +316,10 @@ def rkn_residual(grid: SpectralGrid, v_pot: np.ndarray, u0) -> float:
     accuracy for resolved kinetic/potential splits.
     """
     u = _check_length(grid, u0)
-    counter = FftCounter()
     b_diag = -np.asarray(v_pot)
 
     def a_op(w):
-        return _a_action(grid, w, counter)
+        return _a_action(grid, w)
 
     def b_pow(w, p):
         return (b_diag**p) * w
@@ -345,8 +343,7 @@ def build_dense_hamiltonian(
     """
     if grid.n > DENSE_MAX_N:
         raise ValueError(f"dense assembly limited to N <= {DENSE_MAX_N}")
-    counter = FftCounter()
-    cols = [_a_action(grid, e, counter) for e in np.eye(grid.n, dtype=complex)]
+    cols = [_a_action(grid, e) for e in np.eye(grid.n, dtype=complex)]
     a = np.stack(cols, axis=1)
     if np.max(np.abs(a.imag)) > 1e-12 * max(np.max(np.abs(a.real)), 1.0):
         raise linalg.NumericalError("kinetic matrix has unexpected imaginary part")

@@ -1,10 +1,12 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unisplit import cli, spectral
+from unisplit import cli, experiments, spectral
 from unisplit.cli import ConfigError, ExperimentConfig
 
 
@@ -12,6 +14,24 @@ def cfg(**kw):
     base = {"experiment": "DH_SWEEP", "schemes": ["S31"]}
     base.update(kw)
     return base
+
+
+def conservation(**kw):
+    base = {"experiment": "CONSERVATION", "schemes": ["S31"], "grid": {"n": 64},
+            "h_values": [0.05], "n_steps": 10, "include_comparator": False}
+    base.update(kw)
+    return base
+
+
+def _refused(tmp_path, capsys, status, *words):
+    """The run exited 2 with an invalid-config detail naming ``words``,
+    and wrote nothing."""
+    assert status == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid config"
+    for word in words:
+        assert word in err["detail"], err["detail"]
+    assert not list(tmp_path.iterdir())
 
 
 class TestConfigParsing:
@@ -64,7 +84,7 @@ def test_run_invalid_config_exit_code(tmp_path, capsys):
     for raw in (
         {"experiment": "NOPE"},
         cfg(seed="x"),
-        cfg(sample_every="a"),
+        conservation(sample_every="a"),
         cfg(threshold="tiny"),
         cfg(h_range={"min": 0.1, "max": 1.0, "points": "five"}),
         cfg(h_range={"min": 0.1, "points": 5}),
@@ -306,9 +326,130 @@ def test_main_experiment_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_config_that_is_not_an_object(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text("[1, 2]")
+    assert cli.main(["schemes_list", "--config", str(config)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "unreadable config" and "JSON object" in err["detail"]
+
+
 def test_main_unreadable_config(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text("{not json")
     assert cli.main(["schemes_list", "--config", str(config)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "unreadable config"
+
+
+@pytest.mark.parametrize("raw, field", [
+    (conservation(h_values=[0.05, 0.2]), "h_values"),
+    (conservation(t_final=0.5), "t_final"),
+    (conservation(threshold=1e-8), "threshold"),
+    (conservation(matrix={"class": "SYM_SIMPLE"}), "matrix"),
+    (conservation(seed=3), "seed"),
+    (cfg(grid={"n": 64}), "grid"),
+    (cfg(t_final=1.0), "t_final"),
+    (cfg(sample_every=2), "sample_every"),
+    (cfg(include_comparator=False), "include_comparator"),
+    (cfg(h_values=[0.1, 1.0], h_range={"min": 0.1, "max": 1.0, "points": 4}),
+     "h_range"),
+    (cfg(seed=3, matrix={"class": "SYM_SIMPLE", "seed": 4}), "matrix.seed"),
+    ({"experiment": "ORDER", "schemes": ["strang"], "grid": {"n": 64},
+      "matrix": {"class": "SYM_SIMPLE"}}, "matrix"),
+    ({"experiment": "RKN_CHECK", "grid": {"n": 64}, "schemes": ["S31"]}, "schemes"),
+    (cfg(matrix={"class": "SYM_SIMPLE", "multiplicities": [5, 5]}), "multiplicities"),
+    (conservation(include_comparator="no"), "include_comparator"),
+], ids=["conservation_two_h", "n_steps_and_t_final", "conservation_threshold",
+        "conservation_matrix", "conservation_seed", "dh_sweep_grid",
+        "dh_sweep_t_final", "dh_sweep_sample_every", "dh_sweep_comparator",
+        "h_values_and_h_range", "seed_and_matrix_seed", "order_grid_and_matrix",
+        "rkn_check_schemes", "multiplicities_on_simple_class",
+        "comparator_not_a_bool"])
+def test_field_that_would_be_ignored_is_refused(tmp_path, capsys, raw, field):
+    """Each config sets a field its experiment would not read, or would
+    override with another; none of them runs."""
+    _refused(tmp_path, capsys, cli.run(raw, out_dir=str(tmp_path)), field)
+
+
+def test_main_refuses_a_seed_conservation_does_not_read(tmp_path, capsys):
+    _refused(tmp_path, capsys,
+             cli.main(["conservation", "--seed", "3", "--out", str(tmp_path)]), "seed")
+
+
+@pytest.mark.parametrize("raw, words", [
+    (cfg(matrix=5), ["matrix", "object"]),
+    (cfg(h_range=5), ["h_range", "object"]),
+    (cfg(schemes="S31"), ["schemes", "list"]),
+    (cfg(schemes=["S31", "S4", "S31"]), ["schemes", "distinct"]),
+    (cfg(seed=2.7), ["seed"]),
+    (cfg(seed=True), ["seed"]),
+    (cfg(matrix={"class": "SYM_SIMPLE", "n": 4.9}), ["matrix.n"]),
+    (cfg(h_range={"min": 0.1, "max": 1.0, "points": 2.9}), ["h_range.points"]),
+    (cfg(h_values=json.loads("[0.1, NaN]")), ["h_values"]),
+    (cfg(h_values=json.loads("[0.1, Infinity]")), ["h_values"]),
+    (cfg(matrix={"class": "MULTIPLE_EIGS_DIAG", "multiplicities": [5.5, 4.5]}),
+     ["multiplicities"]),
+    (cfg(threshold=json.loads("NaN")), ["threshold"]),
+    (conservation(sample_every=0), ["sample_every"]),
+    (conservation(sample_every=-2), ["sample_every"]),
+], ids=["matrix_not_object", "h_range_not_object", "schemes_string", "schemes_repeated",
+        "seed_float", "seed_bool", "matrix_n_float", "h_range_points_float",
+        "h_nan", "h_infinity", "multiplicities_float", "threshold_nan",
+        "sample_every_zero", "sample_every_negative"])
+def test_value_of_the_wrong_kind_is_refused(tmp_path, capsys, raw, words):
+    """No traceback, no truncation and no silent raise to 1."""
+    _refused(tmp_path, capsys, cli.run(raw, out_dir=str(tmp_path)), *words)
+
+
+def test_conservation_runs_on_the_table_defaults(tmp_path, capsys):
+    """``unisplit conservation`` needs no scheme list: NB11s6 and the
+    comparator at h = 100/909, here for 10 steps on a 64-point grid."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"grid": {"n": 64}, "n_steps": 10}))
+    out = tmp_path / "out"
+    assert cli.main(["conservation", "--config", str(config), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "conservation_NB11s6.csv", "conservation_pal2_b0.25_0.25.csv"]
+    lines = (out / "conservation_NB11s6.csv").read_text().splitlines()
+    assert f"# scheme NB11s6 h {100.0 / 909.0:.17g} n_steps 10" in lines
+    assert "NB11s6: energy drift " in capsys.readouterr().out
+
+
+def test_from_dict_resolves_the_table_defaults():
+    c = ExperimentConfig.from_dict({"experiment": "CONSERVATION"})
+    assert (c.schemes, c.h_values, c.t_final, c.n_steps) == \
+        (["NB11s6"], [100.0 / 909.0], 1e4, 90900)
+    assert (c.sample_every, c.include_comparator, c.output) == (1, True, ".")
+    assert c.grid[0] == spectral.SpectralGrid(n=256)
+    assert c.matrix is None and c.threshold is None
+    d = ExperimentConfig.from_dict(cfg(seed=7))
+    assert d.matrix == experiments.MatrixClassSpec(
+        experiments.MatrixClass.SYM_SIMPLE, n=10, seed=7)
+    assert d.grid is None and len(d.h_values) == 16
+
+
+def test_run_builds_the_potential_once(tmp_path, capsys, monkeypatch):
+    """The runner takes the grid and potential that ``from_dict`` built."""
+    built = []
+    potential = spectral.pt_potential
+    monkeypatch.setattr(spectral, "pt_potential",
+                        lambda *a: built.append(a) or potential(*a))
+    raw = {"experiment": "RKN_CHECK", "grid": {"n": 64}}
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+
+def test_readme_table_names_the_fields_of_each_experiment():
+    """The README's field table lists what ``cli`` reads, row for row."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.split("## CLI examples")[1].splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) == 2 and cells[0] not in ("Experiment", "Object", "---"):
+            rows[cells[0].strip("`")] = set(re.findall(r"`([a-z_]+)`", cells[1]))
+    expected = {name: set(fields) for name, fields in cli._FIELDS.items()}
+    expected.update({"every experiment": set(cli._COMMON), "grid": set(cli._GRID),
+                     "matrix": set(cli._MATRIX), "h_range": set(cli._H_RANGE)})
+    assert rows == expected

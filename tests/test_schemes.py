@@ -117,7 +117,9 @@ def test_conjugate_reverse_identity_for_reversible_schemes(name):
 
 def test_drift_comparator_shape():
     s = drift_comparator()
-    assert s.is_palindromic
+    # palindromic: the reversed factor sequence is the scheme itself
+    assert all(f.op == g.op and abs(f.coeff - g.coeff) <= 1e-15
+               for f, g in zip(s.factors, reversed(s.factors)))
     assert not s.is_symmetric_conjugate
     assert s.is_consistent
     # kinetic weights stay real so the Fourier multiplier keeps modulus one

@@ -363,7 +363,7 @@ def test_dense_hamiltonian_structure(pt64):
     assert np.array_equal(b, np.diag(-v))
     # dense action agrees with the matrix-free one
     u = initial_gaussian(grid)
-    hu_free = spectral._a_action(grid, u, None) - v * u
+    hu_free = spectral._a_action(grid, u) - v * u
     assert np.allclose(h @ u, hu_free, atol=1e-12)
 
 
