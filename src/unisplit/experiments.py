@@ -189,21 +189,24 @@ def dh_sweep(
     exceeded = False
     h_sorted = sorted(float(x) for x in h_grid)
     stack = step_matrix(scheme, a, b, np.array(h_sorted))
+
+    def d_of(m):  # D_h of each matrix of m: a float, or a list for a stack
+        return np.max(np.abs(np.abs(linalg.eig_general(m)) - 1.0), axis=-1).tolist()
+
     try:
-        omegas = list(linalg.eig_general(stack))
+        d_hs = d_of(stack)
     except linalg.NumericalError:
         # redo per matrix, so that only the failing points are dropped
-        omegas = []
+        d_hs = []
         for s_h in stack:
             try:
-                omegas.append(linalg.eig_general(s_h))
+                d_hs.append(d_of(s_h))
             except linalg.NumericalError:
-                omegas.append(None)
-    for h, omega in zip(h_sorted, omegas):
-        if omega is None:
+                d_hs.append(None)
+    for h, d_h in zip(h_sorted, d_hs):
+        if d_h is None:
             failures.append(h)
             continue
-        d_h = float(np.max(np.abs(np.abs(omega) - 1.0)))
         series.add(h, {"D_h": d_h})
         if not exceeded:
             if d_h > threshold:

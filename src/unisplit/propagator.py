@@ -44,69 +44,76 @@ def _eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
 
 @functools.lru_cache(maxsize=1)
 def _split_bases(shape: tuple[int, int], a_bytes: bytes, b_bytes: bytes) -> dict:
-    """``{"A": _eigenbasis(A), "B": _eigenbasis(B)}`` for the complex128
-    operators held in ``a_bytes`` and ``b_bytes``; the arrays are read-only.
+    """``{"A": _eigenbasis(A), "B": _eigenbasis(B), "moves": moves}`` for the
+    complex128 operators held in ``a_bytes`` and ``b_bytes``, all read-only;
+    ``moves[src, dst]`` is the transfer matrix V_dst^-1 V_src from the
+    eigenbasis of operator ``src`` to that of ``dst``, None naming the
+    identity, which an operator past the cond guard uses as its basis.
 
     The operators arrive as their bytes so that the cache key holds their
-    values, not the identity of the caller's arrays; a None from the cond
-    guard is cached like a basis.
+    values, not the identity of the caller's arrays; a None from the guard
+    is cached like a basis.
     """
-    bases = {}
+    bases, moves = {}, {}
     for op, raw in (("A", a_bytes), ("B", b_bytes)):
         basis = _eigenbasis(np.frombuffer(raw, dtype=complex).reshape(shape))
         if basis is not None:
             for arr in basis:
                 arr.flags.writeable = False
+            moves[None, op], moves[op, None] = basis[2], basis[1]
         bases[op] = basis
-    return bases
+    if bases["A"] is not None and bases["B"] is not None:
+        for src, dst in (("A", "B"), ("B", "A")):
+            moves[src, dst] = bases[dst][2] @ bases[src][1]
+            moves[src, dst].flags.writeable = False
+    return {**bases, "moves": moves}
 
 
 def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     """Dense step operator: product of exp(i h c Op) over the factor sequence.
 
-    ``h`` is a scalar, giving the (n, n) step matrix, or a 1-D array, giving
-    the (len(h), n, n) stack of step matrices, one per entry.  The first factor
-    in application order multiplies the state first, so it is the rightmost
-    term of the accumulated product.
+    ``h`` is a real or complex scalar, giving the (n, n) step matrix, or a 1-D
+    array, giving the (len(h), n, n) stack of step matrices, one per entry.
+    The first factor in application order multiplies the state first, so it
+    is the rightmost term of the accumulated product.
 
     The factors of an operator are V diag(exp(i h c lam)) V^-1 for the whole
-    stack at once.  The eigenbases of A and B are kept for the latest split
-    (keyed by their values), so calls on one split diagonalise each operator
-    once; an operator whose eigenvectors fail the condition guard has its
-    factors built by `linalg.expm`, one per h, on every call.
+    stack at once.  The eigenbases of A and B and the transfer matrices
+    between them are kept for the latest split (keyed by their values); an
+    operator whose eigenvectors fail the condition guard has its factors
+    built by `linalg.expm`, one per h, on every call.
     """
     am = linalg.as_matrix(a, square=True)
     bm = linalg.as_matrix(b, square=True)
     if am.shape != bm.shape:
         raise linalg.DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
-    h_arr = np.asarray(h, dtype=float)
+    h_arr = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h_arr.ndim > 1:
         raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
     ih = 1j * h_arr.reshape(-1)
     ops = {"A": am, "B": bm}
-    bases = _split_bases(am.shape, am.tobytes(), bm.tobytes())
-    # the product so far is V_in @ s, with V_in the eigenvectors of the
-    # operator named by `basis_of` (the identity when it is None)
-    s, basis_of = None, None
-    for f in scheme.factors:
-        z = ih * f.coeff
-        basis = bases[f.op]
-        if basis is None:
-            if basis_of is not None:
-                s, basis_of = bases[basis_of][1] @ s, None
-            e = np.empty((len(z),) + am.shape, dtype=complex)
-            for i, zi in enumerate(z):
-                e[i] = linalg.expm(zi * ops[f.op])
-            s = e if s is None else e @ s
-            continue
-        lam, _, v_inv = basis
-        if basis_of != f.op:
-            t = v_inv if basis_of is None else v_inv @ bases[basis_of][1]
-            s = t if s is None else t @ s
-            basis_of = f.op
-        s = np.exp(z[:, None] * lam)[:, :, None] * s
-    if basis_of is not None:
-        s = bases[basis_of][1] @ s
+    split = _split_bases(am.shape, am.tobytes(), bm.tobytes())
+    phases = {}
+    for op in ops:
+        if split[op] is not None:  # one exp for all the factors of op, in order
+            c = np.array([f.coeff for f in scheme.factors if f.op == op])
+            p = np.exp((ih[:, None] * c[None, :])[:, :, None] * split[op][0])
+            phases[op] = iter(p.transpose(1, 0, 2)[:, :, :, None])
+    # the product so far is V @ s, with V the eigenvectors of the operator
+    # named by `at` (the identity when it is None); s is a read-only move or
+    # an expm stack until the first product lands in one of two buffers
+    bufs = [np.empty((len(ih),) + am.shape, dtype=complex) for _ in range(2)]
+    s, at = None, None
+    for f in (*scheme.factors, None):  # None: the closing move to the identity
+        to = None if f is None or split[f.op] is None else f.op
+        left = [split["moves"][at, to]] if to != at else []
+        if f is not None and to is None:
+            left.append(np.array([linalg.expm(z * ops[f.op]) for z in ih * f.coeff]))
+        for m in left:  # a product goes to the buffer that s is not in
+            s = m if s is None else np.matmul(m, s, out=bufs[s is bufs[0]])
+        if to is not None:  # a row scaling stays in s's buffer, if it has one
+            s = np.multiply(next(phases[to]), s, out=bufs[s is bufs[1]])
+        at = to
     return s[0] if h_arr.ndim == 0 else s
 
 

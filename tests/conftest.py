@@ -1,5 +1,7 @@
 """Shared fixtures: small random splits and spectral grids reused across files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,29 @@ def pt256(grid256):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# "ACCEPTANCE <tag>: PASS|FAIL — <detail>", as test_acceptance.report prints it
+ACCEPTANCE_LINE = re.compile(r"ACCEPTANCE (.+?): (PASS|FAIL) — (.*)")
+_acceptance: list[dict] = []
+
+
+def pytest_runtest_logreport(report):
+    """Collect the acceptance lines a test printed, from its captured stdout
+    (empty under ``-s``, which turns capturing off)."""
+    if report.when != "call":
+        return
+    for line in report.capstdout.splitlines():
+        m = ACCEPTANCE_LINE.fullmatch(line)
+        if m:
+            _acceptance.append({"test": report.nodeid, "tag": m[1],
+                                "result": m[2], "detail": m[3]})
+
+
+def pytest_sessionfinish(session):
+    """Store the collected lines in pytest's cache, under the key
+    ``unisplit/acceptance`` (``.pytest_cache/v/unisplit/acceptance``), when
+    the run printed any and the cache plugin is on."""
+    cache = getattr(session.config, "cache", None)
+    if _acceptance and cache is not None:
+        cache.set("unisplit/acceptance", _acceptance)

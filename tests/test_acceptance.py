@@ -162,15 +162,14 @@ def _rkn_split(seed):
 def _taylor_norms(scheme, a, b, k_max):
     """||E_k||_F for k = 1..k_max, where S(z) - exp(i z (A+B)) = sum_k E_k z^k.
 
-    S(z) is the step matrix of ``scheme`` on the split (zA, zB) at unit step;
-    the coefficients come from the discrete Cauchy integral over 32 points on
-    |z| = 0.25.
+    S(z) is the step matrix of ``scheme`` on the real split (A, B) at the
+    complex step z, so that a real symmetric A keeps its orthogonal
+    eigenbasis; the coefficients come from the discrete Cauchy integral over
+    32 points on |z| = 0.25.
     """
     z = 0.25 * np.exp(2j * np.pi * np.arange(32) / 32)
-    diffs = np.array([
-        propagator.step_matrix(scheme, zj * a, zj * b, 1.0)
-        - propagator.exact_propagator(zj * (a + b), 1.0)
-        for zj in z])
+    diffs = propagator.step_matrix(scheme, a, b, z) - np.array(
+        [propagator.exact_propagator(zj * (a + b), 1.0) for zj in z])
     return [float(np.linalg.norm(np.tensordot(z ** -k, diffs, axes=1)) / 32)
             for k in range(1, k_max + 1)]
 

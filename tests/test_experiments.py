@@ -108,21 +108,26 @@ def test_dh_sweep_threshold_detection(sym_split):
     assert d[-1] > 1e-6
 
 
+def flaky_eig_general(fail_at):
+    """(flaky, calls): a linalg.eig_general that raises on the calls numbered
+    (from 1) in ``fail_at``, and the ndim of each call's argument."""
+    eig, calls = linalg.eig_general, []
+
+    def flaky(m):
+        calls.append(np.ndim(m))
+        if len(calls) in fail_at:
+            raise linalg.NumericalError("no convergence")
+        return eig(m)
+    return flaky, calls
+
+
 def test_dh_sweep_records_eigensolver_failures(sym_split, monkeypatch):
     """A failing batched eigensolve is redone per matrix; only the points
     that fail again are dropped, and each is recorded."""
     _, a, b = sym_split
     h_grid = np.geomspace(0.01, 1.0, 6)
-    eig = linalg.eig_general
-    calls = []
-
-    def flaky(m):
-        calls.append(np.ndim(m))
-        # the stack fails, then the matrices of h_grid[1] and h_grid[3]
-        if len(calls) in (1, 3, 5):
-            raise linalg.NumericalError("no convergence")
-        return eig(m)
-
+    # the stack fails, then the matrices of h_grid[1] and h_grid[3]
+    flaky, calls = flaky_eig_general((1, 3, 5))
     monkeypatch.setattr(linalg, "eig_general", flaky)
     series = dh_sweep(schemes.get_scheme("S31"), a, b, h_grid)
     assert calls == [3] + [2] * len(h_grid)
@@ -133,6 +138,50 @@ def test_dh_sweep_records_eigensolver_failures(sym_split, monkeypatch):
     assert full.meta["failures"] == []
     assert np.array_equal(series.column("D_h"),
                           np.delete(full.column("D_h"), [1, 3]))
+
+
+def _reference_dh_sweep(scheme, a, b, h_grid):
+    """(rows, h_star, failures) of dh_sweep as a loop over the eigenvalues of
+    each matrix, redone matrix by matrix when the stack fails."""
+    h_sorted = sorted(float(x) for x in h_grid)
+    stack = ex.step_matrix(scheme, a, b, np.array(h_sorted))
+    try:
+        omegas = list(linalg.eig_general(stack))
+    except linalg.NumericalError:
+        omegas = []
+        for s_h in stack:
+            try:
+                omegas.append(linalg.eig_general(s_h))
+            except linalg.NumericalError:
+                omegas.append(None)
+    rows, h_star, failures, exceeded = [], None, [], False
+    for h, omega in zip(h_sorted, omegas):
+        if omega is None:
+            failures.append(h)
+            continue
+        d_h = float(np.max(np.abs(np.abs(omega) - 1.0)))
+        rows.append((h, d_h))
+        if not exceeded:
+            exceeded = d_h > ex.DH_THRESHOLD
+            h_star = h_star if exceeded else h
+    return rows, h_star, failures
+
+
+@pytest.mark.parametrize("fail_at", [(), (1,), (1, 3, 5)])
+def test_dh_sweep_equals_reference_loop(fail_at, monkeypatch):
+    """Rows, h* and failures equal those of a per-matrix loop, bit for bit,
+    also when the stacked eigensolve fails and the redo drops points."""
+    h_grid = np.geomspace(0.01, 10.0, 28)
+    for cls in (MatrixClass if not fail_at else [MatrixClass.SYM_SIMPLE]):
+        _, a, b = generate(spec_of(cls.name))
+        for s in schemes.catalog():
+            monkeypatch.setattr(linalg, "eig_general", flaky_eig_general(fail_at)[0])
+            want = _reference_dh_sweep(s, a, b, h_grid)
+            monkeypatch.setattr(linalg, "eig_general", flaky_eig_general(fail_at)[0])
+            series = dh_sweep(s, a, b, h_grid)
+            monkeypatch.undo()
+            assert (series.rows, series.meta["h_star"], series.meta["failures"]) == want
+            assert len(want[2]) == len(fail_at[1:])  # the redo fails at 3, 5
 
 
 def test_dh_sweep_no_threshold_on_generic_matrices():

@@ -54,6 +54,93 @@ def split_of(cls):
     return experiments.generate(spec)[1:]
 
 
+def _reference_step_matrix(scheme, a, b, h):
+    """The step matrix as built before the transfer matrices were memoised:
+    every change of operator forms V_to^-1 V_from again, every factor takes
+    its own phases, and every product is a fresh array."""
+    am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
+    ops = {"A": am, "B": bm}
+    bases = {op: propagator._eigenbasis(m) for op, m in ops.items()}
+    h_arr = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
+    ih = 1j * h_arr.reshape(-1)
+    s, basis_of = None, None
+    for f in scheme.factors:
+        z = ih * f.coeff
+        basis = bases[f.op]
+        if basis is None:
+            if basis_of is not None:
+                s, basis_of = bases[basis_of][1] @ s, None
+            e = np.empty((len(z),) + am.shape, dtype=complex)
+            for i, zi in enumerate(z):
+                e[i] = linalg.expm(zi * ops[f.op])
+            s = e if s is None else e @ s
+            continue
+        lam, _, v_inv = basis
+        if basis_of != f.op:
+            t = v_inv if basis_of is None else v_inv @ bases[basis_of][1]
+            s = t if s is None else t @ s
+            basis_of = f.op
+        s = np.exp(z[:, None] * lam)[:, :, None] * s
+    if basis_of is not None:
+        s = bases[basis_of][1] @ s
+    return s[0] if h_arr.ndim == 0 else s
+
+
+# the grids of criteria 3-5a, and a scalar h
+GRIDS = (H_SWEEP, np.array([0.01, -0.01]), np.array([0.1, -0.1]),
+         np.array([0.5, -0.5]), H_ORDER, 0.3)
+# 32 points on |z| = 0.25, as in criterion 5b, and a complex scalar
+COMPLEX_GRIDS = (0.25 * np.exp(2j * np.pi * np.arange(32) / 32), 0.1 - 0.05j)
+
+
+def guarded_splits(rng):
+    """(name, A, B) with B, A or both failing the eigenvector cond guard."""
+    m = rng.standard_normal((5, 5))
+    return [("B nilpotent", (m + m.T) / 2, nilpotent(rng, 5)),
+            ("A nilpotent", nilpotent(rng, 5), m),
+            ("both nilpotent", nilpotent(rng, 5), nilpotent(rng, 5))]
+
+
+def assert_bitwise(got, want, label):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("cls", [m.name for m in experiments.MatrixClass])
+def test_step_matrix_equals_reference_loop_bitwise(cls, seed):
+    spec = experiments.MatrixClassSpec(experiments.MatrixClass[cls], n=10, seed=seed)
+    _, a, b = experiments.generate(spec)
+    for s in schemes.catalog():
+        for h in GRIDS + COMPLEX_GRIDS:
+            assert_bitwise(step_matrix(s, a, b, h),
+                           _reference_step_matrix(s, a, b, h), (s.name, h))
+
+
+def test_step_matrix_equals_reference_loop_on_guarded_splits(rng):
+    for label, a, b in guarded_splits(rng):
+        for s in schemes.catalog():
+            for h in (H_ORDER, np.array([0.5, -0.5]), 0.3, COMPLEX_GRIDS[1]):
+                assert_bitwise(step_matrix(s, a, b, h),
+                               _reference_step_matrix(s, a, b, h), (label, s.name))
+
+
+def test_step_matrix_complex_h_is_the_complex_step(rng):
+    """S at the complex step z is the product of exp(i z c Op), and equals
+    the unit step on the split (zA, zB) to round-off."""
+    splits = [("SYM_SIMPLE",) + split_of("SYM_SIMPLE")] + guarded_splits(rng)[:1]
+    z = COMPLEX_GRIDS[0][::4]
+    for label, a, b in splits:
+        for s in schemes.catalog():
+            for s_z, zj in zip(step_matrix(s, a, b, z), z):
+                ref = expm_product(s, a, b, zj)
+                assert linalg.frobenius(s_z - ref) <= 1e-12 * linalg.frobenius(ref)
+                unit = step_matrix(s, zj * a, zj * b, 1.0)
+                assert linalg.frobenius(s_z - unit) <= 1e-12 * linalg.frobenius(ref)
+            # a complex h on the real axis is that real h, bit for bit
+            assert_bitwise(step_matrix(s, a, b, 0.2 + 0j),
+                           step_matrix(s, a, b, 0.2), (label, s.name))
+
+
 def test_step_matrix_application_order():
     """First factor in the list acts first, i.e. sits rightmost in the product."""
     a, b = two_level_split()
@@ -129,6 +216,7 @@ def test_memo_cold_and_warm_calls_are_bit_identical(cls):
     s = schemes.get_scheme("NB11s6")
     for call in (lambda: step_matrix(s, a, b, H_SWEEP).tobytes(),
                  lambda: step_matrix(s, a, b, 0.3).tobytes(),
+                 lambda: step_matrix(s, a, b, COMPLEX_GRIDS[0]).tobytes(),
                  lambda: empirical_order(s, a, b, H_ORDER)):
         clear_memos()
         assert call() == call()  # cold, then warm
@@ -174,12 +262,48 @@ def test_memo_entries_are_read_only():
     refs = propagator._exact_propagators(hm.shape, hm.tobytes(), H_ORDER.tobytes())
     assert propagator._split_bases.cache_info().hits == 1
     assert propagator._exact_propagators.cache_info().hits == 1
-    arrays = [arr for op in "AB" for arr in bases[op]] + list(refs)
-    assert len(arrays) == 6 + len(H_ORDER)
+    moves = bases["moves"]
+    # to and from the identity are V^-1 and V; the transfers are new arrays
+    assert set(moves) == {(None, "A"), ("A", None), (None, "B"), ("B", None),
+                          ("A", "B"), ("B", "A")}
+    assert moves[None, "A"] is bases["A"][2] and moves["B", None] is bases["B"][1]
+    arrays = ([arr for op in "AB" for arr in bases[op]] + list(refs)
+              + [moves["A", "B"], moves["B", "A"]])
+    assert len(arrays) == 6 + len(H_ORDER) + 2
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_memo_moves_of_a_guarded_split(rng):
+    """An operator past the cond guard has no basis: the moves are those to
+    and from the other operator's eigenbasis, read-only."""
+    for label, a, b in guarded_splits(rng):
+        am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
+        bases = propagator._split_bases(am.shape, am.tobytes(), bm.tobytes())
+        kept = [op for op in "AB" if bases[op] is not None]
+        assert set(bases["moves"]) == {k for op in kept for k in ((None, op), (op, None))}
+        assert not any(arr.flags.writeable for arr in bases["moves"].values())
+
+
+def test_returned_stacks_share_no_memory_with_the_memo(rng):
+    """Every call returns fresh arrays: writing into one changes neither
+    the memo nor the next call's result."""
+    splits = [("SYM_SIMPLE",) + split_of("SYM_SIMPLE"),
+              ("ARBITRARY",) + split_of("ARBITRARY")] + guarded_splits(rng)
+    for label, a, b in splits:
+        am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
+        for s in schemes.catalog():
+            for h in (H_ORDER, 0.3):
+                got = step_matrix(s, a, b, h)
+                want = got.copy()
+                bases = propagator._split_bases(am.shape, am.tobytes(), bm.tobytes())
+                memo = [arr for op in "AB" if bases[op] for arr in bases[op]]
+                memo += list(bases["moves"].values())
+                assert not any(np.shares_memory(got, arr) for arr in memo)
+                got[...] = np.nan
+                assert_bitwise(step_matrix(s, a, b, h), want, (label, s.name))
 
 
 @pytest.mark.parametrize("cls", ["SYM_SIMPLE", "SYM_SIMPLE_NONSYM_SPLIT"])
@@ -195,6 +319,8 @@ def test_memo_diagonalises_each_operator_once(cls, monkeypatch):
         step_matrix(s, a, b, H_SWEEP)
         step_matrix(s, a, b, 0.3)
     assert len(calls) == 2 and "expm" not in calls  # one eigh or eig per operator
+    # the transfer matrices are built with the bases, once per split
+    assert propagator._split_bases.cache_info().misses == 1
     calls.clear()
     for s in schemes.catalog():
         empirical_order(s, a, b, H_ORDER)
