@@ -34,6 +34,9 @@ DH_THRESHOLD = 1e-10
 #: Minimum eigenvalue gap for "simple spectrum" classes.
 EIGENVALUE_GAP = 1e-6
 
+#: Most states, and most bytes of them, per stacked observation in ``conservation_run``.
+_BLOCK_ROWS, _BLOCK_BYTES = 32, 2**19
+
 
 class MatrixClass(enum.Enum):
     SYM_SIMPLE = "SYM_SIMPLE"
@@ -237,6 +240,10 @@ def conservation_run(
     ``split_step`` reports as :class:`linalg.NumericalError`, ends the run:
     ``meta["aborted_at_step"]`` and ``meta["aborted"]`` record the step and
     the message, and the rows before it are kept.
+
+    Sampled states are copied into a block (at most ``_BLOCK_ROWS`` rows and
+    ``_BLOCK_BYTES`` bytes) that one stacked ``observables`` call evaluates
+    when full and at the end; each row has the bits of a single call.
     """
     counter = spectral.FftCounter()
     obs0 = spectral.observables(grid, v_pot, u0)
@@ -244,6 +251,18 @@ def conservation_run(
         abscissa="t", columns=("mass_err", "energy_err", "fft_count")
     )
     series.meta["scheme"] = scheme.name
+    # one row per sample (the ceiling of n_steps / sample_every), within the bounds
+    rows = min(_BLOCK_ROWS, _BLOCK_BYTES // (16 * grid.n), -(-n_steps // sample_every))
+    block = np.empty((max(1, rows), grid.n), dtype=complex)
+    pending: list[tuple[int, int]] = []  # (step, fft_count) of each block row
+
+    def observe():
+        obs = spectral.observables(grid, v_pot, block[:len(pending)])
+        for (n, count), mass, energy in zip(pending, obs["mass"], obs["energy"]):
+            series.add(n * h, {"mass_err": abs(mass - obs0["mass"]), "fft_count": count,
+                               "energy_err": abs(energy - obs0["energy"])})
+        pending.clear()
+
     u = u0
     # an overflow is reported by split_step's own check, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,15 +274,12 @@ def conservation_run(
                 series.meta["aborted"] = str(exc)
                 break
             if n % sample_every == 0 or n == n_steps:
-                obs = spectral.observables(grid, v_pot, u)
-                series.add(
-                    n * h,
-                    {
-                        "mass_err": abs(obs["mass"] - obs0["mass"]),
-                        "energy_err": abs(obs["energy"] - obs0["energy"]),
-                        "fft_count": counter.count,
-                    },
-                )
+                block[len(pending)] = u
+                pending.append((n, counter.count))
+                if len(pending) == len(block):
+                    observe()
+        if pending:
+            observe()
     return series
 
 

@@ -55,7 +55,7 @@ _NORM2_MARGIN = 1.0 + 1e-9
 
 @dataclass
 class FftCounter:
-    """Per-run transform counter; one dft or idft call counts one FFT."""
+    """Per-run transform counter; dft and idft count one FFT per row."""
 
     count: int = 0
 
@@ -98,9 +98,10 @@ class SpectralGrid:
         return float(math.sqrt(self.dx * np.sum(np.abs(u) ** 2)))
 
 
-def _check_length(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+def _check_length(grid: SpectralGrid, u, stack: bool = False) -> np.ndarray:
+    """``u`` as a complex array of shape (N,), or also (K, N) if ``stack``."""
     v = np.asarray(u, dtype=complex)
-    if v.shape != (grid.n,):
+    if v.shape != (grid.n,) and not (stack and v.ndim == 2 and v.shape[1] == grid.n):
         raise linalg.DimensionError(f"expected length {grid.n}, got {v.shape}")
     return v
 
@@ -113,23 +114,28 @@ def _ortho_scale(n: int) -> np.float64:
 
 def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
                out: np.ndarray | None) -> np.ndarray:
-    if counter is not None:
-        counter.count += 1
-    v = _check_length(grid, u)
+    v = np.asarray(u, dtype=complex)
+    # one comparison for a plain state: a step makes two calls per A-factor
+    rows = 1 if v.shape == (grid.n,) else len(_check_length(grid, v, True))
     if out is None:
         out = np.empty_like(v)
-    elif out.shape != (grid.n,):
+    elif out.shape != v.shape:
         raise linalg.DimensionError(
-            f"out must have shape ({grid.n},), got {out.shape}")
+            f"out must have shape {v.shape}, got {out.shape}")
+    if counter is not None:
+        counter.count += rows
     return gufunc(v, _ortho_scale(grid.n), out=out)
 
 
 def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
         out: np.ndarray | None = None) -> np.ndarray:
-    """Unitary forward DFT; increments ``counter``, if given, by one.
+    """Unitary forward DFT of a state (N,), or of each row of a stack
+    (K, N); increments ``counter``, if given, by one per row.
 
-    With ``out`` (a complex array of length N) the result is written there
-    and ``out`` is returned; the bits are the same.
+    A stack is one gufunc call, and each of its rows has the bits of the
+    call on that row alone.  With ``out`` (a complex array of the input's
+    shape) the result is written there and ``out`` is returned; the bits
+    are the same.
 
     The transform calls the pocketfft gufunc that ``np.fft.fft`` itself ends
     in (numpy >= 2.0 implements ``np.fft`` as these gufuncs), with the same
@@ -138,19 +144,21 @@ def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
     recomputes the scale and checks the axis, dtypes and shape each time),
     about half the cost of a 256-point transform; the kernel and its inputs
     are the same, and so are the bits.  The gufunc pads or truncates
-    into an ``out`` of another length instead of raising, so a wrong
-    length is refused here with :class:`linalg.DimensionError` before
-    anything is written.  ``scipy.fft`` is not used: its bits differ from
-    ``np.fft``'s at N = 2*4^k.
+    into an ``out`` of another length instead of raising, so an ``out``
+    whose shape differs from the input's in any axis is refused here with
+    :class:`linalg.DimensionError` before anything is written.
+    ``scipy.fft`` is not used: its bits differ from ``np.fft``'s at
+    N = 2*4^k.
     """
     return _transform(_pocketfft_umath.fft, grid, u, counter, out)
 
 
 def idft(grid: SpectralGrid, u, counter: FftCounter | None = None,
          out: np.ndarray | None = None) -> np.ndarray:
-    """Unitary inverse DFT; increments ``counter``, if given, by one.
+    """Unitary inverse DFT of a state or of each row of a stack; increments
+    ``counter``, if given, by one per row.
 
-    ``out`` and the transform are as for :func:`dft`.
+    Stacks, ``out`` and the transform are as for :func:`dft`.
     """
     return _transform(_pocketfft_umath.ifft, grid, u, counter, out)
 
@@ -295,16 +303,21 @@ def split_step(
     return state
 
 
-def observables(grid: SpectralGrid, v_pot: np.ndarray, u) -> dict[str, float]:
+def observables(grid: SpectralGrid, v_pot: np.ndarray, u) -> dict:
     """Mass dx*sum|u|^2 and energy dx*Re(conj(u) H u), computed matrix-free.
 
     ``energy_imag`` records the imaginary residual of the Hermitian form as a
-    sanity value.
+    sanity value.  For a state (N,) each value is a float; for a stack
+    (K, N) it is an array of K values, and row k has the bits of the call
+    on row k alone (one stacked ``dft``/``idft`` pair, and row reductions
+    that sum as the 1-D ones do).
     """
-    state = _check_length(grid, u)
+    state = _check_length(grid, u, stack=True)
     hu = _a_action(grid, state) - v_pot * state
-    form = grid.dx * complex(np.vdot(state, hu))
-    mass = grid.dx * float(np.sum(np.abs(state) ** 2))
+    form = grid.dx * np.vecdot(state, hu)  # conjugates its first argument
+    mass = grid.dx * np.sum(np.abs(state) ** 2, axis=-1)
+    if state.ndim == 1:
+        form, mass = complex(form), float(mass)
     return {"mass": mass, "energy": form.real, "energy_imag": form.imag}
 
 
@@ -312,25 +325,14 @@ def rkn_residual(grid: SpectralGrid, v_pot: np.ndarray, u0) -> float:
     """Weighted norm of [B,[B,[B,A]]] u0, computed matrix-free.
 
     Expands the nested commutator as B^3 A - 3 B^2 A B + 3 B A B^2 - A B^3
-    applied right-to-left (4 A-applications, 8 FFTs).  Vanishes to spectral
-    accuracy for resolved kinetic/potential splits.
+    applied right-to-left (A applied once to the stack u0, B u0, B^2 u0,
+    B^3 u0: 8 FFTs).  Vanishes to spectral accuracy for resolved
+    kinetic/potential splits.
     """
     u = _check_length(grid, u0)
-    b_diag = -np.asarray(v_pot)
-
-    def a_op(w):
-        return _a_action(grid, w)
-
-    def b_pow(w, p):
-        return (b_diag**p) * w
-
-    total = (
-        b_pow(a_op(u), 3)
-        - 3.0 * b_pow(a_op(b_pow(u, 1)), 2)
-        + 3.0 * b_pow(a_op(b_pow(u, 2)), 1)
-        - a_op(b_pow(u, 3))
-    )
-    return grid.norm(total)
+    b = -np.asarray(v_pot)
+    a = _a_action(grid, np.stack([u, b * u, b**2 * u, b**3 * u]))
+    return grid.norm(b**3 * a[0] - 3.0 * (b**2 * a[1]) + 3.0 * (b * a[2]) - a[3])
 
 
 def build_dense_hamiltonian(
@@ -338,13 +340,13 @@ def build_dense_hamiltonian(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (A, B, H) with real entries, for oracle checks at small N.
 
-    A is assembled by applying the Fourier action to canonical basis vectors;
-    B = diag(-V); H = A + B is real symmetric to round-off.
+    A is assembled by applying the Fourier action to the stack of canonical
+    basis vectors, column j from row j; B = diag(-V); H = A + B is real
+    symmetric to round-off.
     """
     if grid.n > DENSE_MAX_N:
         raise ValueError(f"dense assembly limited to N <= {DENSE_MAX_N}")
-    cols = [_a_action(grid, e) for e in np.eye(grid.n, dtype=complex)]
-    a = np.stack(cols, axis=1)
+    a = np.ascontiguousarray(_a_action(grid, np.eye(grid.n, dtype=complex)).T)
     if np.max(np.abs(a.imag)) > 1e-12 * max(np.max(np.abs(a.real)), 1.0):
         raise linalg.NumericalError("kinetic matrix has unexpected imaginary part")
     a = a.real

@@ -190,26 +190,72 @@ def test_dh_sweep_no_threshold_on_generic_matrices():
     assert series.meta["h_star"] is None
 
 
+def _bare_conservation_loop(scheme, grid, v, u, h, n_steps, sample_every):
+    """(rows, meta) of a split_step/observables loop that observes each
+    sample on its own, with two FFTs per A-factor and step so far."""
+    n_a = sum(f.op == "A" for f in scheme.factors)
+    obs0 = spectral.observables(grid, v, u)
+    rows, meta = [], {"scheme": scheme.name}
+    for n in range(1, n_steps + 1):
+        try:
+            u = spectral.split_step(scheme, grid, v, u, h)
+        except linalg.NumericalError as exc:
+            meta.update(aborted_at_step=n, aborted=str(exc))
+            break
+        if n % sample_every == 0 or n == n_steps:
+            obs = spectral.observables(grid, v, u)
+            rows.append((n * h, abs(obs["mass"] - obs0["mass"]),
+                         abs(obs["energy"] - obs0["energy"]), 2 * n_a * n))
+    return rows, meta
+
+
 def test_conservation_run_samples_a_bare_loop(pt64):
     """Rows fall at the multiples of sample_every and at the last step; each
     holds the bits of a bare split_step/observables loop and two FFTs per
-    A-factor and step so far."""
+    A-factor and step so far.  The sample counts cover the edges of the
+    blocks the run observes at once: one sample, five, exactly one full
+    block, and a full block plus a partial one."""
     grid, v, _, _, _ = pt64
     s = schemes.get_scheme("NB5s4")
-    n_a = sum(f.op == "A" for f in s.factors)
-    h, n_steps = 0.1, 23
+    h, rows = 0.1, ex._BLOCK_ROWS
     u = spectral.initial_gaussian(grid)
-    series = conservation_run(s, grid, v, u, h, n_steps, sample_every=5)
-    obs0 = spectral.observables(grid, v, u)
-    expected = []
-    for n in range(1, n_steps + 1):
-        u = spectral.split_step(s, grid, v, u, h)
-        if n in (5, 10, 15, 20, 23):
-            obs = spectral.observables(grid, v, u)
-            expected.append((n * h, abs(obs["mass"] - obs0["mass"]),
-                             abs(obs["energy"] - obs0["energy"]), 2 * n_a * n))
+    for n_steps, every, samples in ((4, 5, 1), (23, 5, 5), (5 * rows, 5, rows),
+                                    (rows + 7, 1, rows + 7)):
+        series = conservation_run(s, grid, v, u, h, n_steps, sample_every=every)
+        expected, meta = _bare_conservation_loop(s, grid, v, u, h, n_steps, every)
+        assert len(expected) == samples
+        assert series.rows == expected
+        assert series.meta == meta
+        assert "aborted" not in series.meta
+
+
+def test_conservation_run_keeps_the_rows_before_an_abort():
+    """S4 at a CLI default h overflows at step 39, in the second block of
+    samples: the 38 rows before it are kept, as the bare loop keeps them."""
+    grid = spectral.SpectralGrid()
+    v = spectral.pt_potential(grid)
+    u = spectral.initial_gaussian(grid)
+    s = schemes.get_scheme("S4")
+    h = float(np.geomspace(0.02, 0.4, 8)[4])
+    series = conservation_run(s, grid, v, u, h, 100)
+    expected, meta = _bare_conservation_loop(s, grid, v, u, h, 100, 1)
+    assert ex._BLOCK_ROWS < len(series.rows) == 38
+    assert series.meta["aborted_at_step"] == 39
     assert series.rows == expected
-    assert "aborted" not in series.meta
+    assert series.meta == meta
+
+
+def test_conservation_run_refuses_a_nonfinite_observable(pt64):
+    """A potential so deep that the energy overflows: the first sample's
+    energy error is not finite, and adding its row raises."""
+    grid, v, _, _, _ = pt64
+    deep = v.copy()
+    deep[31:33] = 1.7e308  # where the Gaussian peaks
+    u = spectral.initial_gaussian(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(spectral.observables(grid, deep, u)["energy"])
+        with pytest.raises(ValueError, match="non-finite diagnostic value at t=0.1$"):
+            conservation_run(schemes.get_scheme("strang"), grid, deep, u, 0.1, 10)
 
 
 def test_drift_slope_recovers_linear_trend():

@@ -176,15 +176,16 @@ def test_transform_into_out(grid32, rng, transform):
     assert got.tobytes() == transform(grid32, u).tobytes()
 
 
-def _transform_inputs(n):
-    """Complex, real, read-only and strided inputs of length n."""
+def _transform_inputs(n, rows=()):
+    """Complex, real, read-only and strided inputs of shape rows + (n,)."""
     gen = np.random.default_rng(n)
-    z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    shape, wide_shape = (*rows, n), (*rows, 2 * n)
+    z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
     frozen = z.copy()
     frozen.flags.writeable = False
-    wide = gen.standard_normal(2 * n) + 1j * gen.standard_normal(2 * n)
-    return {"complex": z, "real": gen.standard_normal(n), "read-only": frozen,
-            "strided": wide[::2]}
+    wide = gen.standard_normal(wide_shape) + 1j * gen.standard_normal(wide_shape)
+    return {"complex": z, "real": gen.standard_normal(shape), "read-only": frozen,
+            "strided": wide[..., ::2]}
 
 
 @pytest.mark.parametrize("n", [2**k for k in range(1, 15)])
@@ -212,6 +213,49 @@ def test_transform_refuses_wrong_out_length(grid32, rng, transform, length):
     with pytest.raises(linalg.DimensionError, match="out must have shape"):
         transform(grid32, u, out=out)
     assert np.all(out == 7.0 + 7.0j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64])
+@pytest.mark.parametrize("n", [2**p for p in range(1, 15)])
+@pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+def test_stacked_transform_rows_bitwise_equal_single_calls(transform, n, k):
+    grid = SpectralGrid(n=n)
+    for kind, stack in _transform_inputs(n, (k,)).items():
+        kept = stack.copy()
+        c = FftCounter()
+        got = transform(grid, stack, c)
+        assert c.count == k, kind
+        out = np.empty((k, n), dtype=complex)
+        assert transform(grid, stack, c, out=out) is out
+        assert c.count == 2 * k, kind
+        for row, got_row, out_row in zip(stack, got, out):
+            want = transform(grid, row).tobytes()
+            assert got_row.tobytes() == want, kind
+            assert out_row.tobytes() == want, kind
+        assert np.array_equal(stack, kept)
+
+
+@pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+@pytest.mark.parametrize("u_shape, out_shape", [
+    ((3, 32), (3, 16)), ((3, 32), (3, 64)), ((3, 32), (2, 32)), ((3, 32), (4, 32)),
+    ((3, 32), (32,)), ((32,), (1, 32)),
+], ids=str)
+def test_stacked_transform_refuses_an_out_of_another_shape(grid32, rng, transform,
+                                                          u_shape, out_shape):
+    u = rng.standard_normal(u_shape) + 1j * rng.standard_normal(u_shape)
+    out = np.full(out_shape, 7.0 + 7.0j)
+    c = FftCounter()
+    with pytest.raises(linalg.DimensionError, match="out must have shape"):
+        transform(grid32, u, c, out=out)
+    assert np.all(out == 7.0 + 7.0j)
+    assert c.count == 0
+
+
+@pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+@pytest.mark.parametrize("shape", [(2, 3, 32), (3, 16), (32, 3), (16,), ()])
+def test_transform_refuses_an_input_of_another_shape(grid32, transform, shape):
+    with pytest.raises(linalg.DimensionError, match="expected length 32"):
+        transform(grid32, np.ones(shape))
 
 
 def test_overflowing_gain_matches_reference():
@@ -350,6 +394,29 @@ def test_observables_match_dense_forms(pt64):
     assert abs(obs["energy_imag"]) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 8, 64, 256])
+def test_observables_of_a_stack_equal_single_calls(n):
+    """Row k of a stacked call has the bits of the call on row k alone,
+    for one row, a contiguous stack and one strided in both axes."""
+    grid = SpectralGrid(n=n)
+    v = pt_potential(grid)
+    gen = np.random.default_rng(n)
+    wide = gen.standard_normal((10, 2 * n)) + 1j * gen.standard_normal((10, 2 * n))
+    wide *= np.geomspace(1e-3, 1e3, 10)[:, None]
+    for stack in (wide[:1, :n], wide[:, :n], wide[::-2, ::2]):
+        got = observables(grid, v, stack)
+        for name, values in got.items():
+            assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+        for k, row in enumerate(stack):
+            single = observables(grid, v, row)
+            assert all(isinstance(x, float) for x in single.values())
+            assert {name: values[k] for name, values in got.items()} == single
+            # the row reductions give the bits of the 1-D np.sum and np.vdot
+            assert got["mass"][k] == grid.dx * float(np.sum(np.abs(row) ** 2))
+            form = grid.dx * complex(np.vdot(row, spectral._a_action(grid, row) - v * row))
+            assert (got["energy"][k], got["energy_imag"][k]) == (form.real, form.imag)
+
+
 def test_rkn_residual_resolution_dependence(grid256, grid32):
     u256 = initial_gaussian(grid256)
     u32 = initial_gaussian(grid32)
@@ -365,6 +432,17 @@ def test_dense_hamiltonian_structure(pt64):
     u = initial_gaussian(grid)
     hu_free = spectral._a_action(grid, u) - v * u
     assert np.allclose(h @ u, hu_free, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 32, 64, 256])
+def test_dense_hamiltonian_equals_column_loop(n):
+    grid = SpectralGrid(n=n)
+    v = pt_potential(grid)
+    cols = [spectral._a_action(grid, e) for e in np.eye(n, dtype=complex)]
+    a_loop = np.stack(cols, axis=1).real
+    a, _, h = build_dense_hamiltonian(grid, v)
+    assert a.tobytes() == a_loop.tobytes()
+    assert h.tobytes() == (a_loop + np.diag(-v)).tobytes()
 
 
 def test_dense_assembly_size_guard():
