@@ -83,8 +83,8 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     operator whose eigenvectors fail the condition guard has its factors
     built by `linalg.expm`, one per h, on every call.
     """
-    am = linalg.as_matrix(a, square=True)
-    bm = linalg.as_matrix(b, square=True)
+    am = linalg.as_matrix(a)
+    bm = linalg.as_matrix(b)
     if am.shape != bm.shape:
         raise linalg.DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
     h_arr = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
@@ -119,7 +119,7 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
 
 def exact_propagator(h_matrix, t: float) -> np.ndarray:
     """Exact flow expm(i t H)."""
-    return linalg.expm(1j * t * linalg.as_matrix(h_matrix, square=True))
+    return linalg.expm(1j * t * linalg.as_matrix(h_matrix))
 
 
 @functools.lru_cache(maxsize=1)
@@ -148,8 +148,8 @@ def reversibility_report(
     real symmetric; reported unconditionally as a diagnostic).
     """
     s_h, s_back = step_matrix(scheme, a, b, np.array([h, -h]))
-    sc2 = linalg.frobenius(s_h.conj() @ s_h - np.eye(s_h.shape[0]))
-    sc3 = linalg.frobenius(s_h.conj().T - s_back)
+    sc2 = float(np.linalg.norm(s_h.conj() @ s_h - np.eye(s_h.shape[0])))
+    sc3 = float(np.linalg.norm(s_h.conj().T - s_back))
     return {"sc2_residual": sc2, "sc3_residual": sc3}
 
 
@@ -158,35 +158,33 @@ class OrderFit:
     """Least-squares slope of log(error) against log(h)."""
 
     slope: float
-    intercept: float
     h_used: tuple[float, ...]
     errors: tuple[float, ...]
-    residuals: tuple[float, ...]
     excluded: tuple[float, ...]  # h values outside the fit window
 
 
-def fit_loglog(
-    h_values, errors, err_min: float = 1e-12, err_max: float = 1e-1
-) -> OrderFit:
-    """Fit log(error) against log(h) over the points with error in
-    [err_min, err_max]; the others are reported in ``excluded``."""
+#: Errors kept by `fit_loglog`: above the round-off plateau, inside the
+#: asymptotic regime.
+_FIT_WINDOW = (1e-12, 1e-1)
+
+
+def fit_loglog(h_values, errors) -> OrderFit:
+    """Fit log(error) against log(h) over the points with error inside
+    `_FIT_WINDOW`; the others are reported in ``excluded``."""
     h_arr = np.asarray(h_values, dtype=float)
     e_arr = np.asarray(errors, dtype=float)
+    err_min, err_max = _FIT_WINDOW
     keep = (e_arr >= err_min) & (e_arr <= err_max)
     if keep.sum() < 2:
         raise linalg.NumericalError(
             "fewer than two points inside the fit window "
             f"[{err_min:g}, {err_max:g}]; errors: {e_arr}"
         )
-    lh, le = np.log(h_arr[keep]), np.log(e_arr[keep])
-    slope, intercept = np.polyfit(lh, le, 1)
-    resid = le - (slope * lh + intercept)
+    slope, _ = np.polyfit(np.log(h_arr[keep]), np.log(e_arr[keep]), 1)
     return OrderFit(
         slope=float(slope),
-        intercept=float(intercept),
         h_used=tuple(h_arr[keep]),
         errors=tuple(e_arr[keep]),
-        residuals=tuple(resid),
         excluded=tuple(h_arr[~keep]),
     )
 
@@ -201,21 +199,19 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
     by their values, so a sweep of schemes over one split and grid builds
     them once.
     """
-    am = linalg.as_matrix(a, square=True)
-    bm = linalg.as_matrix(b, square=True)
+    am = linalg.as_matrix(a)
+    bm = linalg.as_matrix(b)
     hm = am + bm
     h_arr = np.asarray(h_grid, dtype=float)
     refs = _exact_propagators(hm.shape, hm.tobytes(), h_arr.tobytes())
     errors = [
-        linalg.frobenius(s_h - ref)
+        float(np.linalg.norm(s_h - ref))
         for s_h, ref in zip(step_matrix(scheme, am, bm, h_arr), refs)
     ]
     return fit_loglog(h_arr, errors)
 
 
-def eigenphase_error(
-    scheme: SplittingScheme, a, b, h, warn: bool = True
-) -> float | np.ndarray:
+def eigenphase_error(scheme: SplittingScheme, a, b, h) -> float | np.ndarray:
     """Max distance from the eigenvalues of S_h to the exact phases e^{i h lam}.
 
     ``h`` is a scalar, giving a float, or a 1-D array, giving an array of one
@@ -236,8 +232,8 @@ def eigenphase_error(
     worst = np.zeros(len(hs))
     live = hs != 0.0
     if live.any():
-        am = linalg.as_matrix(a, square=True)
-        bm = linalg.as_matrix(b, square=True)
+        am = linalg.as_matrix(a)
+        bm = linalg.as_matrix(b)
         lam, _ = linalg.eig_symmetric(am + bm)
         exact = np.exp(1j * hs[live, None] * lam)
         omega = linalg.eig_general(step_matrix(scheme, am, bm, hs[live]))
@@ -245,7 +241,7 @@ def eigenphase_error(
         dist = np.abs(omega[:, :, None] - exact[:, None, :])
         near = dist.min(axis=2)
         worst[live] = near.max(axis=1)
-        if warn and lam.size > 1:
+        if lam.size > 1:
             second = np.partition(dist, 1, axis=2)[:, :, 1]
             for h_k in hs[live][(second < 2.0 * near).any(axis=1)]:
                 warnings.warn(

@@ -11,6 +11,7 @@ conjugate elementwise; palindromic schemes equal their own reversal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,14 +61,11 @@ class SplittingScheme:
     """
 
     name: str
-    kind: str  # "ABA" or "BAB"
     order: int
     rkn: bool
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        if self.kind not in ("ABA", "BAB"):
-            raise SchemeError(f"invalid kind {self.kind!r}")
         if not self.factors:
             raise SchemeError("empty factor sequence")
         tags = [f.op for f in self.factors if abs(f.coeff) > _ZERO_COEFF_TOL]
@@ -81,6 +79,11 @@ class SplittingScheme:
         # Factor, and split_step looks its scheme up in the phase cache on
         # every call.
         return hash(self.name)
+
+    @property
+    def kind(self) -> str:
+        """Composition pattern, "BAB" or "ABA": the first factor's operator leads."""
+        return "BAB" if self.factors[0].op == "B" else "ABA"
 
     def coefficients(self, op: str) -> tuple[complex, ...]:
         return tuple(f.coeff for f in self.factors if f.op == op)
@@ -126,12 +129,12 @@ class ValidationReport:
 class TableEntry:
     """Reduced coefficient lists as printed, with the closure already resolved.
 
-    ``kind`` and ``central`` fix the expansion pattern:
+    ``kind`` names the lead operator; the list lengths fix the central one:
 
-    * BAB, central A:  b0 a0 b1 a1 ... br ar b̄r ... ā0 b̄0   (ar real, once)
-    * BAB, central B:  b0 a0 ... a_{r-1} br ā_{r-1} ... b̄0   (br real, once)
-    * ABA, central B:  a0 b0 ... ar br ār ... b̄0 ā0          (br real, once)
-    * ABA, central A:  a0 b0 ... b_{r-1} ar b̄_{r-1} ... ā0   (ar real, once)
+    * BAB, len(b) = len(a):      b0 a0 b1 a1 ... br ar b̄r ... ā0 b̄0   (ar real)
+    * BAB, len(b) = len(a) + 1:  b0 a0 ... a_{r-1} br ā_{r-1} ... b̄0   (br real)
+    * ABA, len(a) = len(b):      a0 b0 ... ar br ār ... b̄0 ā0          (br real)
+    * ABA, len(a) = len(b) + 1:  a0 b0 ... b_{r-1} ar b̄_{r-1} ... ā0   (ar real)
     """
 
     name: str
@@ -140,26 +143,22 @@ class TableEntry:
     rkn: bool
     a: tuple[complex, ...]
     b: tuple[complex, ...]
-    central: str = "A"
 
     def half_sequence(self) -> list[Factor]:
         """Factors up to and including the central exponential."""
+        if self.kind not in ("ABA", "BAB"):
+            raise SchemeError(f"invalid kind {self.kind!r}")
+        lead, tail = self.kind[:2]
+        lc, tc = (self.a, self.b) if lead == "A" else (self.b, self.a)
+        if not lc or len(lc) - len(tc) not in (0, 1):
+            raise SchemeError(
+                f"{self.name}: the {lead} list must be as long as the {tail} "
+                f"list or one longer, got {len(lc)} and {len(tc)}")
         half: list[Factor] = []
-        if self.kind == "BAB":
-            lead, tail = ("B", self.b), ("A", self.a)
-        else:
-            lead, tail = ("A", self.a), ("B", self.b)
-        for i in range(max(len(self.a), len(self.b))):
-            if i < len(lead[1]):
-                half.append(Factor(lead[0], lead[1][i]))
-            if i < len(tail[1]):
-                half.append(Factor(tail[0], tail[1][i]))
-        # trim so the central factor (last of the expansion's first half) has
-        # the requested tag
-        while half and half[-1].op != self.central:
-            half.pop()
-        if not half:
-            raise SchemeError(f"{self.name}: empty half sequence")
+        for i, c in enumerate(lc):
+            half.append(Factor(lead, c))
+            if i < len(tc):
+                half.append(Factor(tail, tc[i]))
         return half
 
 
@@ -180,7 +179,6 @@ def expand_entry(entry: TableEntry) -> SplittingScheme:
     mirror = [Factor(f.op, f.coeff.conjugate()) for f in reversed(half[:-1])]
     scheme = SplittingScheme(
         name=entry.name,
-        kind=entry.kind,
         order=entry.order,
         rkn=entry.rkn,
         factors=tuple(half + mirror),
@@ -210,8 +208,9 @@ def validate(scheme: SplittingScheme) -> ValidationReport:
     )
 
 
-def drift_comparator(beta: complex = 0.25 + 0.25j) -> SplittingScheme:
-    """Order-2 palindromic BAB scheme with complex potential weights.
+def drift_comparator() -> SplittingScheme:
+    """Order-2 palindromic BAB scheme with complex potential weights
+    beta = (1 + i)/4, 1 - 2 beta, beta.
 
     Palindromic but *not* symmetric-conjugate, so on real symmetric splits its
     step operator is not conjugate to a unitary map: norm and energy errors
@@ -223,12 +222,9 @@ def drift_comparator(beta: complex = 0.25 + 0.25j) -> SplittingScheme:
     The ``A`` weights stay real so the kinetic multiplier keeps modulus one;
     only the bounded potential factors carry imaginary parts.
     """
-    if beta.real <= 0.0 or (1.0 - 2.0 * beta).real <= 0.0:
-        raise SchemeError("potential weights must keep positive real parts")
-    half = complex(0.5)
+    beta, half = 0.25 + 0.25j, complex(0.5)
     return SplittingScheme(
-        name=f"pal2_b{beta.real:g}_{beta.imag:g}",
-        kind="BAB",
+        name="pal2_b0.25_0.25",
         order=2,
         rkn=False,
         factors=(
@@ -271,7 +267,6 @@ def _table_entries() -> list[TableEntry]:
             "S31", "BAB", 3, False,
             a=(a31,),
             b=(a31 / 2.0, 0.5),
-            central="B",
         ),
         TableEntry(
             "S32", "BAB", 3, False,
@@ -280,21 +275,18 @@ def _table_entries() -> list[TableEntry]:
                 13.0 / 126.0 - 1j * _SQRT59_2 / 63.0,
                 25.0 / 63.0 + 1j * 5.0 * _SQRT59_2 / 126.0,
             ),
-            central="A",
         ),
         TableEntry(
             "S4", "BAB", 4, False,
             a=(a41, 0.5),
             b=(a41 / 2.0, (9.0 + 1j * _SQRT15) / 24.0),
-            central="A",
         ),
         # real-coefficient comparators
-        TableEntry("strang", "ABA", 2, False, a=(0.5,), b=(1.0,), central="B"),
+        TableEntry("strang", "ABA", 2, False, a=(0.5,), b=(1.0,)),
         TableEntry(
             "triple_jump4", "ABA", 4, False,
             a=(_GAMMA1 / 2.0, (_GAMMA1 + _GAMMA2) / 2.0),
             b=(_GAMMA1, _GAMMA2),
-            central="B",
         ),
     ]
 
@@ -306,7 +298,6 @@ def _table_entries() -> list[TableEntry]:
         "NB5s4", "BAB", 4, True,
         a=(a0, a1, 1.0 - 2.0 * (a0 + a1)),
         b=(b0, b1, 0.5 - (b0.real + b1.real) + 0.1491719824749133j),
-        central="A",
     ))
 
     a0, a1 = 0.2, 0.054855282174763084
@@ -317,7 +308,6 @@ def _table_entries() -> list[TableEntry]:
         "NB6s4", "BAB", 4, True,
         a=(a0, a1, 0.5 - (a0 + a1)),
         b=(b0, b1, b2, 1.0 - 2.0 * (b0.real + b1.real + b2.real)),
-        central="B",
     ))
 
     a0, a1, a2 = 0.13556579817637690, 0.12110548685533656, 0.040926280383255811
@@ -332,7 +322,6 @@ def _table_entries() -> list[TableEntry]:
         "NB8s5", "BAB", 5, True,
         a=(a0, a1, a2, 0.5 - (a0 + a1 + a2)),
         b=(b0, b1, b2, b3, 1.0 - 2.0 * (b0.real + b1.real + b2.real + b3.real)),
-        central="B",
     ))
 
     a0, a1, a2, a3 = 0.066, 0.066, 0.15406042184345631, 0.20434260458660722
@@ -345,7 +334,6 @@ def _table_entries() -> list[TableEntry]:
         a=(a0, a1, a2, a3, 1.0 - 2.0 * (a0 + a1 + a2 + a3)),
         b=(b0, b1, b2, b3,
            0.5 - (b0.real + b1.real + b2.real + b3.real) + 0.3080209334852549j),
-        central="A",
     ))
 
     a_list = (0.062770091, 0.011912916558090, 0.20435669618321,
@@ -360,7 +348,6 @@ def _table_entries() -> list[TableEntry]:
         a=a_list + (0.5 - sum(a_list),),
         b=(b0, b1, b2, b3, b4,
            1.0 - 2.0 * (b0.real + b1.real + b2.real + b3.real + b4.real)),
-        central="B",
     ))
 
     a_list = (213.0 / 2500.0, 0.047358568390005, 0.1553620075936,
@@ -376,7 +363,6 @@ def _table_entries() -> list[TableEntry]:
         b=(b0, b1, b2, b3, b4,
            0.5 - (b0.real + b1.real + b2.real + b3.real + b4.real)
            - 0.2203293328195j),
-        central="A",
     ))
 
     # --- general-split family (no RKN assumption) ---
@@ -386,7 +372,6 @@ def _table_entries() -> list[TableEntry]:
         "B3s3", "BAB", 3, False,
         a=(a0, 1.0 - 2.0 * a0),
         b=(b0, 0.5 - b0.real - 0.6300845020773j),
-        central="A",
     ))
 
     a0, a1 = 37.0 / 250.0, 0.22446218092466344
@@ -396,7 +381,6 @@ def _table_entries() -> list[TableEntry]:
         "B5s4", "BAB", 4, False,
         a=(a0, a1, 1.0 - 2.0 * (a0 + a1)),
         b=(b0, b1, 0.5 - (b0.real + b1.real) - 0.14783578044680548j),
-        central="A",
     ))
 
     a_list = (0.08092666015955027, 0.06736427978832901, 0.057276240999706116,
@@ -415,29 +399,28 @@ def _table_entries() -> list[TableEntry]:
         "B15s6", "BAB", 6, False,
         a=a_list + (1.0 - 2.0 * sum(a_list),),
         b=b_list + (0.5 - sum(b.real for b in b_list) + 0.0111821298374971054j,),
-        central="A",
     ))
 
     return entries
 
 
-_CATALOG: dict[str, SplittingScheme] | None = None
+@functools.cache
+def _by_name() -> dict[str, SplittingScheme]:
+    return {e.name: expand_entry(e) for e in _table_entries()}
 
 
 def catalog() -> list[SplittingScheme]:
     """All built-in schemes, expanded and validated."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = {e.name: expand_entry(e) for e in _table_entries()}
-    return list(_CATALOG.values())
+    return list(_by_name().values())
 
 
 def catalog_names() -> list[str]:
-    return [s.name for s in catalog()]
+    return list(_by_name())
 
 
 def get_scheme(name: str) -> SplittingScheme:
-    for s in catalog():
-        if s.name == name:
-            return s
-    raise KeyError(f"unknown scheme {name!r}; available: {catalog_names()}")
+    try:
+        return _by_name()[name]
+    except KeyError:
+        names = catalog_names()
+        raise KeyError(f"unknown scheme {name!r}; available: {names}") from None

@@ -365,11 +365,10 @@ def pt_empirical_order(
     grid: SpectralGrid,
     v_pot: np.ndarray,
     h_grid,
-    u0=None,
 ) -> OrderFit:
-    """Single-step error order on the spectral problem, against the dense
-    eigendecomposition reference."""
-    u = initial_gaussian(grid) if u0 is None else _check_length(grid, u0)
+    """Single-step error order from the Gaussian initial state, against the
+    dense eigendecomposition reference."""
+    u = initial_gaussian(grid)
     _, _, h_dense = build_dense_hamiltonian(grid, v_pot)
     errors = []
     for h in h_grid:

@@ -40,7 +40,7 @@ TABLE_DELTAS = {
     "B3s3": 1.766, "B5s4": 1.146, "B15s6": 1.327,
 }
 
-RKN_SCHEMES = ("NB5s4", "NB6s4", "NB8s5", "NB9s5", "NA11s6", "NB11s6")
+RKN_SCHEMES = tuple(s.name for s in schemes.catalog() if s.rkn)
 
 
 def test_criterion_01_coefficient_norms():
@@ -216,7 +216,7 @@ def test_criterion_06_eigenphase_superconvergence():
     _, a, b = sym_pair(seed=0)
     s31 = schemes.get_scheme("S31")
     h_grid = np.geomspace(0.05, 0.4, 8)
-    phases = propagator.eigenphase_error(s31, a, b, h_grid, warn=False)
+    phases = propagator.eigenphase_error(s31, a, b, h_grid)
     phase_slope = propagator.fit_loglog(h_grid, phases).slope
     local_slope = propagator.empirical_order(s31, a, b, h_grid).slope
     ok = abs(phase_slope - 5.0) <= 0.3 and abs(local_slope - 4.0) <= 0.3
@@ -235,9 +235,26 @@ def _conservation_run(scheme, n_steps, sample_every):
         n_steps, sample_every)
 
 
-def _conservation_stats(n_steps, sample_every):
-    series = _conservation_run(schemes.get_scheme("NB11s6"), n_steps,
-                               sample_every)
+# 7a samples every 10 steps through step 9090 (t_f = 1e3), 7b every 45
+# through step 90900 (t_f = 1e4).  Both are thinned from one run sampled at
+# their greatest common divisor; a row has the bits of a separate run's row.
+SHARED_SAMPLE_EVERY = 5
+
+
+@pytest.fixture(scope="module")
+def nb11s6_run():
+    return _conservation_run(schemes.get_scheme("NB11s6"), 90900,
+                             SHARED_SAMPLE_EVERY)
+
+
+def _conservation_stats(run, n_steps, sample_every):
+    """The stats of the first ``n_steps`` of ``run``, sampled every
+    ``sample_every`` steps."""
+    assert sample_every % SHARED_SAMPLE_EVERY == 0 and n_steps % sample_every == 0
+    stride = sample_every // SHARED_SAMPLE_EVERY
+    series = experiments.DiagnosticSeries(
+        run.abscissa, run.columns,
+        run.rows[stride - 1:n_steps // SHARED_SAMPLE_EVERY:stride])
     out = {}
     for col in ("mass_err", "energy_err"):
         out[col] = (
@@ -252,8 +269,8 @@ def _comparator_energy_drift():
     return experiments.drift_slope(series, "energy_err") * H_CONSERVATION
 
 
-def test_criterion_07a_conservation_smoke():
-    stats = _conservation_stats(n_steps=9090, sample_every=10)  # t_f = 1e3
+def test_criterion_07a_conservation_smoke(nb11s6_run):
+    stats = _conservation_stats(nb11s6_run, n_steps=9090, sample_every=10)
     pal_drift = _comparator_energy_drift()
     sc_drift = stats["energy_err"][0]
     ok = (
@@ -268,8 +285,8 @@ def test_criterion_07a_conservation_smoke():
            f"comparator drift {pal_drift:+.2e} ({pal_drift / max(sc_drift, 1e-300):.1e}x)")
 
 
-def test_criterion_07b_conservation_full():
-    stats = _conservation_stats(n_steps=90900, sample_every=45)  # t_f = 1e4
+def test_criterion_07b_conservation_full(nb11s6_run):
+    stats = _conservation_stats(nb11s6_run, n_steps=90900, sample_every=45)
     ok = all(d <= 1e-12 and sup <= 1e-6 for d, sup in stats.values())
     report("7b long-time conservation (full)", ok,
            f"per-step drift mass {stats['mass_err'][0]:.2e} / energy "

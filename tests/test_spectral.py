@@ -377,7 +377,7 @@ def test_overflow_check_at_the_margin(grid64, spikes):
 
 def test_split_step_overflow(pt256):
     grid, v = pt256
-    bad = schemes.drift_comparator(beta=0.25 + 0.25j)
+    bad = schemes.drift_comparator()
     u = initial_gaussian(grid)
     with pytest.raises(linalg.NumericalError, match="overflow"):
         for _ in range(2000):
