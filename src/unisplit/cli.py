@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -215,60 +216,52 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _header(cfg_hash: str, extra: list[str] | None = None) -> list[str]:
-    return [
-        f"unisplit version {unisplit.__version__}",
-        f"config hash {cfg_hash}",
-        *(extra or []),
-    ]
+def _csv(cfg_hash: str, comments: list[str], body: str) -> str:
+    """A CSV artifact: ``#`` lines with the version, the config hash and
+    ``comments``, then ``body``."""
+    head = [f"unisplit version {unisplit.__version__}", f"config hash {cfg_hash}"]
+    return "".join(f"# {c}\n" for c in head + comments) + body
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+#: A runner's artifacts, (file name, text) each, which ``run`` writes as they come.
+_Artifacts = Iterator[tuple[str, str]]
 
 
-def _run_schemes_list(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
-    lines = [f"# {c}" for c in _header(cfg_hash)]
-    lines.append("name,kind,order,stages,delta_a,delta_b")
+def _run_schemes_list(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
+    lines = ["name,kind,order,stages,delta_a,delta_b"]
     print(f"{'name':<14}{'kind':<6}{'order':<7}{'stages':<8}{'Δa':<10}{'Δb':<10}")
     for name in cfg.schemes:
         s = schemes.get_scheme(name)
         da, db = schemes.delta_norms(s)
         lines.append(f"{s.name},{s.kind},{s.order},{s.stages},{da:.17g},{db:.17g}")
         print(f"{s.name:<14}{s.kind:<6}{s.order:<7}{s.stages:<8}{da:<10.4f}{db:<10.4f}")
-    _write(out / "schemes_list.csv", "\n".join(lines) + "\n")
+    yield "schemes_list.csv", _csv(cfg_hash, [], "\n".join(lines) + "\n")
 
 
-def _run_validate(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
-    lines = [f"# {c}" for c in _header(cfg_hash)]
-    lines.append("name,consistent,symmetric_conjugate,positive_real_parts")
+def _run_validate(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
+    lines = ["name,consistent,symmetric_conjugate,positive_real_parts"]
     for name in cfg.schemes:
         rep = schemes.validate(schemes.get_scheme(name))
-        lines.append(
-            f"{name},{rep.consistent},{rep.symmetric_conjugate},"
-            f"{rep.positive_real_parts}"
-        )
+        lines.append(f"{name},{rep.consistent},{rep.symmetric_conjugate},"
+                     f"{rep.positive_real_parts}")
         print(f"{name}: {rep}")
-    _write(out / "validate.csv", "\n".join(lines) + "\n")
+    yield "validate.csv", _csv(cfg_hash, [], "\n".join(lines) + "\n")
 
 
-def _run_dh_sweep(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
+def _run_dh_sweep(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
     spec = cfg.matrix
     _, a, b = experiments.generate(spec)
     for name in cfg.schemes:
-        series = experiments.dh_sweep(
-            schemes.get_scheme(name), a, b, cfg.h_values, threshold=cfg.threshold
-        )
-        extra = [
+        series = experiments.dh_sweep(schemes.get_scheme(name), a, b, cfg.h_values,
+                                      threshold=cfg.threshold)
+        h_star = series.meta["h_star"]
+        yield f"dh_sweep_{name}.csv", _csv(cfg_hash, [
             f"matrix class {spec.matrix_class.value} n={spec.n} seed={spec.seed}",
-            f"h_star {series.meta['h_star']}",
-        ]
-        _write(out / f"dh_sweep_{name}.csv", series.to_csv(_header(cfg_hash, extra)))
-        print(f"{name}: h* = {series.meta['h_star']}")
+            f"h_star {h_star}"], series.to_csv())
+        print(f"{name}: h* = {h_star}")
 
 
-def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
+def _run_conservation(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
     grid, v = cfg.grid
     (h,), n_steps = cfg.h_values, cfg.n_steps
     # at most about 2000 samples per run
@@ -285,18 +278,14 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
         aborted = ([f"aborted at step {series.meta['aborted_at_step']}: "
                     f"{series.meta['aborted']}"]
                    if "aborted" in series.meta else [])
-        extra = [
+        yield f"conservation_{s.name}.csv", _csv(cfg_hash, [
             f"scheme {s.name} h {h:.17g} n_steps {n_steps}",
             *raised,
             "scheme: catalog entry" if s.name in _SCHEME_NAMES else
             "comparator: order-2 palindromic scheme with complex potential "
             "weights, not symmetric-conjugate",
             *aborted,
-        ]
-        _write(
-            out / f"conservation_{s.name}.csv",
-            series.to_csv(_header(cfg_hash, extra)),
-        )
+        ], series.to_csv())
         if len(series.rows) < 2:  # no slope to fit
             print(f"{s.name}: energy drift n/a ({len(series.rows)} samples)")
             continue
@@ -304,14 +293,12 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
         print(f"{s.name}: energy drift {drift:.3e} per step")
 
 
-def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
+def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
     grid, v = cfg.grid
     u0 = spectral.initial_gaussian(grid)
     for name in cfg.schemes:
         s = schemes.get_scheme(name)
-        series = experiments.DiagnosticSeries(
-            abscissa="h", columns=("fft_count", "max_energy_err")
-        )
+        series = experiments.DiagnosticSeries("h", ("fft_count", "max_energy_err"))
         skipped = []
         for h in sorted(cfg.h_values):
             run = experiments.conservation_run(s, grid, v, u0, h,
@@ -322,12 +309,12 @@ def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
                 continue
             series.add(h, {"fft_count": run.column("fft_count")[-1],
                            "max_energy_err": run.column("energy_err").max()})
-        extra = [f"t_final {cfg.t_final:.17g}", *skipped]
-        _write(out / f"efficiency_{name}.csv", series.to_csv(_header(cfg_hash, extra)))
+        yield f"efficiency_{name}.csv", _csv(
+            cfg_hash, [f"t_final {cfg.t_final:.17g}", *skipped], series.to_csv())
         print(f"{name}: {len(series.rows)} efficiency points")
 
 
-def _run_order(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
+def _run_order(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
     if cfg.matrix is not None:
         _, a, b = experiments.generate(cfg.matrix)
     for name in cfg.schemes:
@@ -336,26 +323,21 @@ def _run_order(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
             fit = spectral.pt_empirical_order(s, *cfg.grid, cfg.h_values)
         else:
             fit = propagator.empirical_order(s, a, b, cfg.h_values)
-        series = experiments.DiagnosticSeries(abscissa="h", columns=("error",))
+        series = experiments.DiagnosticSeries("h", ("error",))
         for h, e in sorted(zip(fit.h_used, fit.errors)):
             series.add(h, {"error": e})
-        extra = [f"fitted slope {fit.slope:.17g}",
-                 f"excluded h {list(fit.excluded)}"]
-        _write(out / f"order_{name}.csv", series.to_csv(_header(cfg_hash, extra)))
+        yield f"order_{name}.csv", _csv(cfg_hash, [
+            f"fitted slope {fit.slope:.17g}", f"excluded h {list(fit.excluded)}"],
+            series.to_csv())
         print(f"{name}: slope {fit.slope:.3f}")
 
 
-def _run_rkn_check(cfg: ExperimentConfig, cfg_hash: str, out: Path) -> None:
+def _run_rkn_check(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
     grid, v = cfg.grid
     u0 = spectral.initial_gaussian(grid)
-    residual = spectral.rkn_residual(grid, v, u0)
-    payload = {
-        "n": grid.n,
-        "residual": residual,
-        "u0_norm": grid.norm(u0),
-        "config_hash": cfg_hash,
-    }
-    _write(out / "rkn_check.json", json.dumps(payload, indent=2) + "\n")
+    payload = {"n": grid.n, "residual": spectral.rkn_residual(grid, v, u0),
+               "u0_norm": grid.norm(u0), "config_hash": cfg_hash}
+    yield "rkn_check.json", json.dumps(payload, indent=2) + "\n"
     print(json.dumps(payload))
 
 
@@ -382,7 +364,9 @@ def run(raw_config: dict, out_dir: str | None = None) -> int:
     out = Path(out_dir or cfg.output)
     cfg_hash = _config_hash(raw_config)
     try:
-        _DISPATCH[cfg.experiment](cfg, cfg_hash, out)
+        for name, text in _DISPATCH[cfg.experiment](cfg, cfg_hash):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text(text, encoding="utf-8", newline="\n")
     except linalg.NumericalError as exc:
         print(json.dumps({"error": "numerical abort", "detail": str(exc)}),
               file=sys.stderr)

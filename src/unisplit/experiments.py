@@ -82,7 +82,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 def _distinct_values(rng: np.random.Generator, n: int) -> np.ndarray | None:
     vals = np.sort(rng.uniform(0.0, 1.0, size=n))
-    if np.min(np.diff(vals)) <= EIGENVALUE_GAP:
+    if n > 1 and np.min(np.diff(vals)) <= EIGENVALUE_GAP:  # one value is distinct
         return None
     return vals
 
@@ -163,9 +163,8 @@ class DiagnosticSeries:
     def x(self) -> np.ndarray:
         return np.array([r[0] for r in self.rows])
 
-    def to_csv(self, comments: list[str] | None = None) -> str:
-        lines = [f"# {c}" for c in (comments or [])]
-        lines.append(",".join((self.abscissa,) + self.columns))
+    def to_csv(self) -> str:
+        lines = [",".join((self.abscissa,) + self.columns)]
         for row in self.rows:
             lines.append(",".join(f"{v:.17g}" for v in row))
         return "\n".join(lines) + "\n"
@@ -185,8 +184,6 @@ def dh_sweep(
     Eigensolver failures are recorded per-point and the sweep continues.
     """
     series = DiagnosticSeries(abscissa="h", columns=("D_h",))
-    series.meta["scheme"] = scheme.name
-    series.meta["threshold"] = threshold
     failures: list[float] = []
     h_star = None
     exceeded = False
@@ -250,7 +247,6 @@ def conservation_run(
     series = DiagnosticSeries(
         abscissa="t", columns=("mass_err", "energy_err", "fft_count")
     )
-    series.meta["scheme"] = scheme.name
     # one row per sample (the ceiling of n_steps / sample_every), within the bounds
     rows = min(_BLOCK_ROWS, _BLOCK_BYTES // (16 * grid.n), -(-n_steps // sample_every))
     block = np.empty((max(1, rows), grid.n), dtype=complex)

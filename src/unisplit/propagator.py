@@ -183,9 +183,9 @@ def fit_loglog(h_values, errors) -> OrderFit:
     slope, _ = np.polyfit(np.log(h_arr[keep]), np.log(e_arr[keep]), 1)
     return OrderFit(
         slope=float(slope),
-        h_used=tuple(h_arr[keep]),
-        errors=tuple(e_arr[keep]),
-        excluded=tuple(h_arr[~keep]),
+        h_used=tuple(map(float, h_arr[keep])),
+        errors=tuple(map(float, e_arr[keep])),
+        excluded=tuple(map(float, h_arr[~keep])),
     )
 
 

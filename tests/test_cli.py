@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import unisplit
 from unisplit import cli, experiments, spectral
 from unisplit.cli import ConfigError, ExperimentConfig
 
@@ -453,3 +454,141 @@ def test_readme_table_names_the_fields_of_each_experiment():
     expected.update({"every experiment": set(cli._COMMON), "grid": set(cli._GRID),
                      "matrix": set(cli._MATRIX), "h_range": set(cli._H_RANGE)})
     assert rows == expected
+
+
+#: SCHEMES_LIST of the whole catalog: its artifact and stdout, line for line.
+SCHEMES_LIST_CSV = [
+    '# unisplit version 0.1.0',
+    '# config hash a6479624e75304da',
+    'name,kind,order,stages,delta_a,delta_b',
+    'S31,BAB,3,2,1.1547005383792515,1.0773502691896257',
+    'S32,BAB,3,3,1,1.172065202060359',
+    'S4,BAB,4,3,1.316496580927726,1.2247448713915889',
+    'strang,ABA,2,1,1,1',
+    'triple_jump4,ABA,4,3,1.7024143839193155,4.4048287678386311',
+    'NB5s4,BAB,4,5,1,1.1413392058765068',
+    'NB6s4,BAB,4,6,1,1.4161790673952872',
+    'NB8s5,BAB,5,8,1.0000000000000002,1.4819645839418023',
+    'NB9s5,BAB,5,9,1.0000000000000002,1.6176193168100259',
+    'NA11s6,ABA,6,11,1,2.0919527229978292',
+    'NB11s6,BAB,6,11,1,1.5952663320582583',
+    'B3s3,BAB,3,3,1,1.7659427214961652',
+    'B5s4,BAB,4,5,1,1.1460207684198416',
+    'B15s6,BAB,6,15,1,1.3271192313539164',
+]
+SCHEMES_LIST_STDOUT = [
+    'name          kind  order  stages  Δa        Δb        ',
+    'S31           BAB   3      2       1.1547    1.0774    ',
+    'S32           BAB   3      3       1.0000    1.1721    ',
+    'S4            BAB   4      3       1.3165    1.2247    ',
+    'strang        ABA   2      1       1.0000    1.0000    ',
+    'triple_jump4  ABA   4      3       1.7024    4.4048    ',
+    'NB5s4         BAB   4      5       1.0000    1.1413    ',
+    'NB6s4         BAB   4      6       1.0000    1.4162    ',
+    'NB8s5         BAB   5      8       1.0000    1.4820    ',
+    'NB9s5         BAB   5      9       1.0000    1.6176    ',
+    'NA11s6        ABA   6      11      1.0000    2.0920    ',
+    'NB11s6        BAB   6      11      1.0000    1.5953    ',
+    'B3s3          BAB   3      3       1.0000    1.7659    ',
+    'B5s4          BAB   4      5       1.0000    1.1460    ',
+    'B15s6         BAB   6      15      1.0000    1.3271    ',
+]
+
+#: VALIDATE of the whole catalog; stdout prints each row's report.
+VALIDATE_CSV = [
+    '# unisplit version 0.1.0',
+    '# config hash 48902ba1412c2433',
+    'name,consistent,symmetric_conjugate,positive_real_parts',
+    'S31,True,True,False',
+    'S32,True,True,True',
+    'S4,True,True,False',
+    'strang,True,True,True',
+    'triple_jump4,True,True,False',
+    'NB5s4,True,True,True',
+    'NB6s4,True,True,True',
+    'NB8s5,True,True,True',
+    'NB9s5,True,True,True',
+    'NA11s6,True,True,True',
+    'NB11s6,True,True,True',
+    'B3s3,True,True,True',
+    'B5s4,True,True,True',
+    'B15s6,True,True,True',
+]
+
+
+def test_schemes_list_and_validate_are_pinned(tmp_path, capsys):
+    """The full artifacts and stdout of both catalog listings, byte for byte."""
+    assert cli.run({"experiment": "SCHEMES_LIST"}, out_dir=str(tmp_path)) == 0
+    assert (tmp_path / "schemes_list.csv").read_bytes() == \
+        ("\n".join(SCHEMES_LIST_CSV) + "\n").encode()
+    assert capsys.readouterr().out == "\n".join(SCHEMES_LIST_STDOUT) + "\n"
+    raw = {"experiment": "VALIDATE", "schemes": cli._SCHEME_NAMES}
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    assert (tmp_path / "validate.csv").read_bytes() == \
+        ("\n".join(VALIDATE_CSV) + "\n").encode()
+    assert capsys.readouterr().out == "".join(
+        f"{name}: ValidationReport(consistent={c}, symmetric_conjugate={s}, "
+        f"positive_real_parts={p})\n"
+        for name, c, s, p in (row.split(",") for row in VALIDATE_CSV[3:]))
+
+
+@pytest.mark.parametrize("raw, names, cfg_hash", [
+    ({"experiment": "SCHEMES_LIST"}, ["schemes_list.csv"], "a6479624e75304da"),
+    ({"experiment": "VALIDATE", "schemes": ["S31", "strang"]}, ["validate.csv"],
+     "6e7aee12d32d47c5"),
+    (cfg(schemes=["S31", "strang"], h_values=[0.1, 1.0]),
+     ["dh_sweep_S31.csv", "dh_sweep_strang.csv"], "a8ae1c0ddcdf7c5f"),
+    (conservation(include_comparator=True),
+     ["conservation_S31.csv", "conservation_pal2_b0.25_0.25.csv"], "5d4704416db7eba7"),
+    ({"experiment": "EFFICIENCY", "schemes": ["strang", "S31"], "grid": {"n": 64},
+      "h_values": [0.1], "t_final": 0.5},
+     ["efficiency_S31.csv", "efficiency_strang.csv"], "2b4876b83ef71bca"),
+    ({"experiment": "ORDER", "schemes": ["strang"], "h_values": [0.05, 0.1, 0.2]},
+     ["order_strang.csv"], "c36791baf5721a42"),
+    ({"experiment": "ORDER", "schemes": ["strang"], "grid": {"n": 64}},
+     ["order_strang.csv"], "7ffdfba19a29d181"),
+], ids=["schemes_list", "validate", "dh_sweep", "conservation", "efficiency",
+        "order", "order_on_a_grid"])
+def test_artifact_names_and_header(tmp_path, capsys, raw, names, cfg_hash):
+    """Each experiment writes these files, each opening with the version and
+    the config hash."""
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_text().splitlines()[:2] == [
+            f"# unisplit version {unisplit.__version__}", f"# config hash {cfg_hash}"]
+    capsys.readouterr()
+
+
+def test_rkn_check_artifact_name_and_hash(tmp_path, capsys):
+    assert cli.run({"experiment": "RKN_CHECK", "grid": {"n": 64}},
+                   out_dir=str(tmp_path)) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["rkn_check.json"]
+    doc = json.loads((tmp_path / "rkn_check.json").read_text())
+    assert doc["config_hash"] == "507577a4f5de6326"
+    capsys.readouterr()
+
+
+def test_order_records_excluded_h_as_plain_floats(tmp_path, capsys):
+    """On the default 64-point grid NB8s5's error at h = 0.02 is below the
+    fit window; NB5s4 excludes nothing."""
+    raw = {"experiment": "ORDER", "schemes": ["NB8s5", "NB5s4"], "grid": {"n": 64}}
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    assert (tmp_path / "order_NB8s5.csv").read_text().splitlines()[3] == \
+        "# excluded h [0.02]"
+    assert (tmp_path / "order_NB5s4.csv").read_text().splitlines()[3] == \
+        "# excluded h []"
+    capsys.readouterr()
+
+
+def test_a_single_multiplicity_runs(tmp_path, capsys):
+    """H = lam I is a member of MULTIPLE_EIGS_DIAG: DH_SWEEP runs on it, and
+    ORDER ends in a numerical abort (every error is round-off), not a
+    traceback."""
+    matrix = {"class": "MULTIPLE_EIGS_DIAG", "n": 4, "multiplicities": [4]}
+    assert cli.run(cfg(matrix=matrix), out_dir=str(tmp_path / "dh")) == 0
+    assert (tmp_path / "dh" / "dh_sweep_S31.csv").exists()
+    raw = {"experiment": "ORDER", "schemes": ["S31"], "matrix": matrix}
+    assert cli.run(raw, out_dir=str(tmp_path / "order")) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical abort" and "fit window" in err["detail"]

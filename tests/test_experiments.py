@@ -55,6 +55,16 @@ def test_multiple_eigs_multiplicities():
     assert np.allclose(a, a.T)
 
 
+def test_a_single_multiplicity_is_a_multiple_of_the_identity():
+    """One eigenvalue of multiplicity n is distinct: H = lam I."""
+    spec = MatrixClassSpec(MatrixClass.MULTIPLE_EIGS_DIAG, n=4, multiplicities=(4,))
+    h, a, b = generate(spec)
+    lam = h[0, 0]
+    assert 0.0 < lam < 1.0
+    assert np.allclose(h, lam * np.eye(4), atol=1e-14)
+    assert np.array_equal(b, h - a) and np.allclose(a, a.T)
+
+
 def test_multiplicities_must_sum_to_n():
     with pytest.raises(ValueError):
         spec_of("MULTIPLE_EIGS_DIAG", multiplicities=(3, 3))
@@ -92,11 +102,7 @@ class TestDiagnosticSeries:
     def test_csv_layout(self):
         s = DiagnosticSeries(abscissa="h", columns=("e",))
         s.add(0.5, {"e": 3.0})
-        text = s.to_csv(comments=["hello"])
-        lines = text.splitlines()
-        assert lines[0] == "# hello"
-        assert lines[1] == "h,e"
-        assert lines[2] == "0.5,3"
+        assert s.to_csv() == "h,e\n0.5,3\n"
 
 
 def test_dh_sweep_threshold_detection(sym_split):
@@ -195,7 +201,7 @@ def _bare_conservation_loop(scheme, grid, v, u, h, n_steps, sample_every):
     sample on its own, with two FFTs per A-factor and step so far."""
     n_a = sum(f.op == "A" for f in scheme.factors)
     obs0 = spectral.observables(grid, v, u)
-    rows, meta = [], {"scheme": scheme.name}
+    rows, meta = [], {}
     for n in range(1, n_steps + 1):
         try:
             u = spectral.split_step(scheme, grid, v, u, h)

@@ -16,7 +16,6 @@ from unisplit.spectral import (
     observables,
     pt_empirical_order,
     pt_potential,
-    reference_solution,
     rkn_residual,
     split_step,
 )
@@ -450,19 +449,26 @@ def test_dense_assembly_size_guard():
         build_dense_hamiltonian(SpectralGrid(n=2048), np.zeros(2048))
 
 
-def test_reference_solution_against_expm(rng):
-    grid = SpectralGrid(n=16)
-    v = pt_potential(grid)
-    _, _, h = build_dense_hamiltonian(grid, v)
-    u0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    oracle = scipy.linalg.expm(1j * 0.42 * h) @ u0
-    assert np.allclose(reference_solution(h, u0, 0.42), oracle, atol=1e-11)
+def test_pt_empirical_order_errors_against_expm(pt64):
+    """Each error is ||split_step(u0) - expm(i h H) u0|| on the dense H."""
+    grid, v, _, _, h_dense = pt64
+    s = schemes.get_scheme("NB5s4")
+    hs = [0.1, 0.2, 0.4]
+    u0 = initial_gaussian(grid)
+    oracle = [grid.norm(split_step(s, grid, v, u0, h)
+                        - scipy.linalg.expm(1j * h * h_dense) @ u0) for h in hs]
+    fit = pt_empirical_order(s, grid, v, hs)
+    assert fit.h_used == tuple(hs) and not fit.excluded
+    assert np.allclose(fit.errors, oracle, rtol=1e-8, atol=1e-13)
 
 
-def test_reference_solution_conserves_norm(pt64):
-    grid, _, _, _, h = pt64
-    u = initial_gaussian(grid)
-    assert grid.norm(reference_solution(h, u, 5.0)) == pytest.approx(1.0)
+def test_pt_empirical_order_diagonalises_once(pt64, monkeypatch):
+    grid, v, _, _, _ = pt64
+    calls = []
+    eig = linalg.eig_symmetric
+    monkeypatch.setattr(linalg, "eig_symmetric", lambda m: calls.append(1) or eig(m))
+    pt_empirical_order(schemes.get_scheme("strang"), grid, v, np.geomspace(0.05, 0.4, 8))
+    assert len(calls) == 1
 
 
 def test_pt_empirical_order_strang(pt64):
