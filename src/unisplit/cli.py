@@ -254,10 +254,11 @@ def _run_dh_sweep(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
     for name in cfg.schemes:
         series = experiments.dh_sweep(schemes.get_scheme(name), a, b, cfg.h_values,
                                       threshold=cfg.threshold)
-        h_star = series.meta["h_star"]
+        h_star, failed = series.meta["h_star"], series.meta["failures"]
         yield f"dh_sweep_{name}.csv", _csv(cfg_hash, [
             f"matrix class {spec.matrix_class.value} n={spec.n} seed={spec.seed}",
-            f"h_star {h_star}"], series.to_csv())
+            f"h_star {h_star}", *([f"failed h {failed}"] if failed else [])],
+            series.to_csv())
         print(f"{name}: h* = {h_star}")
 
 
@@ -371,6 +372,10 @@ def run(raw_config: dict, out_dir: str | None = None) -> int:
         print(json.dumps({"error": "numerical abort", "detail": str(exc)}),
               file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(json.dumps({"error": "unwritable output", "detail": str(exc)}),
+              file=sys.stderr)
+        return 2
     return 0
 
 

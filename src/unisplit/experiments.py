@@ -181,28 +181,35 @@ def dh_sweep(
 
     ``series.meta['h_star']`` records the largest grid point below the first h
     with D_h > threshold (None when the very first point already exceeds it).
-    Eigensolver failures are recorded per-point and the sweep continues.
+    A point whose step matrix or eigenvalues overflow, or whose eigensolver
+    fails, is recorded in ``meta['failures']`` and the sweep continues.
     """
     series = DiagnosticSeries(abscissa="h", columns=("D_h",))
     failures: list[float] = []
     h_star = None
     exceeded = False
     h_sorted = sorted(float(x) for x in h_grid)
-    stack = step_matrix(scheme, a, b, np.array(h_sorted))
 
     def d_of(m):  # D_h of each matrix of m: a float, or a list for a stack
-        return np.max(np.abs(np.abs(linalg.eig_general(m)) - 1.0), axis=-1).tolist()
+        d = np.max(np.abs(np.abs(linalg.eig_general(m)) - 1.0), axis=-1)
+        if not np.isfinite(d).all():  # LAPACK can return inf for a finite m
+            raise linalg.NumericalError("eigenvalues beyond the float range")
+        return d.tolist()
 
-    try:
-        d_hs = d_of(stack)
-    except linalg.NumericalError:
-        # redo per matrix, so that only the failing points are dropped
-        d_hs = []
-        for s_h in stack:
-            try:
-                d_hs.append(d_of(s_h))
-            except linalg.NumericalError:
-                d_hs.append(None)
+    # an overflow, of a step matrix or of its eigenvalues, is a failure that
+    # eig_general or d_of reports, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = step_matrix(scheme, a, b, np.array(h_sorted))
+        try:
+            d_hs = d_of(stack)
+        except linalg.NumericalError:
+            # redo per matrix, so that only the failing points are dropped
+            d_hs = []
+            for s_h in stack:
+                try:
+                    d_hs.append(d_of(s_h))
+                except linalg.NumericalError:
+                    d_hs.append(None)
     for h, d_h in zip(h_sorted, d_hs):
         if d_h is None:
             failures.append(h)

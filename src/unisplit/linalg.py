@@ -54,9 +54,13 @@ def expm(m) -> np.ndarray:
 def eig_general(m) -> np.ndarray:
     """All eigenvalues (with multiplicity) of a general complex matrix, unordered.
 
-    A (k, n, n) stack gives a (k, n) array, one row per matrix.
+    A (k, n, n) stack gives a (k, n) array, one row per matrix.  A non-finite
+    entry, as in an overflowed step matrix, is a :class:`NumericalError`.
     """
-    a = as_matrix(m, stack=True)
+    a = np.asarray(m, dtype=complex)
+    if not np.isfinite(a).all():
+        raise NumericalError("matrix has non-finite entries")
+    a = as_matrix(a, stack=True)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR iteration did not converge

@@ -12,19 +12,18 @@ conjugate elementwise; palindromic schemes equal their own reversal.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 __all__ = [
     "Factor",
     "SplittingScheme",
-    "TableEntry",
     "ValidationReport",
     "SchemeError",
     "catalog",
     "catalog_names",
     "get_scheme",
-    "expand_entry",
     "validate",
     "drift_comparator",
     "delta_norms",
@@ -125,69 +124,41 @@ class ValidationReport:
     positive_real_parts: bool
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    """Reduced coefficient lists as printed, with the closure already resolved.
+def _reversible(name: str, kind: str, order: int, rkn: bool, a, b) -> SplittingScheme:
+    """The symmetric-conjugate scheme whose first half a table prints.
 
+    ``a`` and ``b`` are the printed lists, with the closure already resolved.
     ``kind`` names the lead operator; the list lengths fix the central one:
 
     * BAB, len(b) = len(a):      b0 a0 b1 a1 ... br ar b̄r ... ā0 b̄0   (ar real)
     * BAB, len(b) = len(a) + 1:  b0 a0 ... a_{r-1} br ā_{r-1} ... b̄0   (br real)
     * ABA, len(a) = len(b):      a0 b0 ... ar br ār ... b̄0 ā0          (br real)
     * ABA, len(a) = len(b) + 1:  a0 b0 ... b_{r-1} ar b̄_{r-1} ... ā0   (ar real)
+
+    The second half mirrors the first with conjugated coefficients.  Raises
+    :class:`SchemeError` for any other list shape, a complex central
+    coefficient or coefficient sums other than 1.
     """
-
-    name: str
-    kind: str
-    order: int
-    rkn: bool
-    a: tuple[complex, ...]
-    b: tuple[complex, ...]
-
-    def half_sequence(self) -> list[Factor]:
-        """Factors up to and including the central exponential."""
-        if self.kind not in ("ABA", "BAB"):
-            raise SchemeError(f"invalid kind {self.kind!r}")
-        lead, tail = self.kind[:2]
-        lc, tc = (self.a, self.b) if lead == "A" else (self.b, self.a)
-        if not lc or len(lc) - len(tc) not in (0, 1):
-            raise SchemeError(
-                f"{self.name}: the {lead} list must be as long as the {tail} "
-                f"list or one longer, got {len(lc)} and {len(tc)}")
-        half: list[Factor] = []
-        for i, c in enumerate(lc):
-            half.append(Factor(lead, c))
-            if i < len(tc):
-                half.append(Factor(tail, tc[i]))
-        return half
-
-
-def expand_entry(entry: TableEntry) -> SplittingScheme:
-    """Expand a table entry into the full symmetric-conjugate factor sequence.
-
-    The second half mirrors the first with conjugated coefficients; the single
-    central coefficient must therefore be real.  Raises :class:`SchemeError`
-    naming the offending sum if the closure left the scheme inconsistent.
-    """
-    half = entry.half_sequence()
+    if kind not in ("ABA", "BAB"):
+        raise SchemeError(f"invalid kind {kind!r}")
+    lc, tc = (a, b) if kind == "ABA" else (b, a)
+    if not lc or len(lc) - len(tc) not in (0, 1):
+        raise SchemeError(
+            f"{name}: the {kind[0]} list must be as long as the {kind[1]} "
+            f"list or one longer, got {len(lc)} and {len(tc)}")
+    half = [Factor(op, c) for pair in itertools.zip_longest(lc, tc)
+            for op, c in zip(kind, pair) if c is not None]
     central = half[-1]
     if abs(central.coeff.imag) > CONSISTENCY_TOL:
         raise SchemeError(
-            f"{entry.name}: central {central.op}-coefficient must be real, "
+            f"{name}: central {central.op}-coefficient must be real, "
             f"got {central.coeff}"
         )
     mirror = [Factor(f.op, f.coeff.conjugate()) for f in reversed(half[:-1])]
-    scheme = SplittingScheme(
-        name=entry.name,
-        order=entry.order,
-        rkn=entry.rkn,
-        factors=tuple(half + mirror),
-    )
-    for tag, total in (("A", scheme.a_sum), ("B", scheme.b_sum)):
-        if abs(total - 1.0) > CONSISTENCY_TOL:
-            raise SchemeError(
-                f"{entry.name}: sum of {tag}-coefficients is {total}, expected 1"
-            )
+    scheme = SplittingScheme(name, order, rkn, tuple(half + mirror))
+    if not scheme.is_consistent:
+        raise SchemeError(f"{name}: the sums of the A- and B-coefficients are "
+                          f"{scheme.a_sum} and {scheme.b_sum}, expected 1")
     return scheme
 
 
@@ -257,18 +228,14 @@ _GAMMA1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _GAMMA2 = 1.0 - 2.0 * _GAMMA1
 
 
-def _table_entries() -> list[TableEntry]:
+def _table_entries() -> list[SplittingScheme]:
     a31 = 0.5 + 1j * _SQRT3 / 6.0
     a41 = (3.0 + 1j * _SQRT15) / 12.0
 
     entries = [
         # low-order reference schemes of the eigenvalue experiments
-        TableEntry(
-            "S31", "BAB", 3, False,
-            a=(a31,),
-            b=(a31 / 2.0, 0.5),
-        ),
-        TableEntry(
+        _reversible("S31", "BAB", 3, False, a=(a31,), b=(a31 / 2.0, 0.5)),
+        _reversible(
             "S32", "BAB", 3, False,
             a=(0.3, 0.4),
             b=(
@@ -276,14 +243,11 @@ def _table_entries() -> list[TableEntry]:
                 25.0 / 63.0 + 1j * 5.0 * _SQRT59_2 / 126.0,
             ),
         ),
-        TableEntry(
-            "S4", "BAB", 4, False,
-            a=(a41, 0.5),
-            b=(a41 / 2.0, (9.0 + 1j * _SQRT15) / 24.0),
-        ),
+        _reversible("S4", "BAB", 4, False, a=(a41, 0.5),
+                    b=(a41 / 2.0, (9.0 + 1j * _SQRT15) / 24.0)),
         # real-coefficient comparators
-        TableEntry("strang", "ABA", 2, False, a=(0.5,), b=(1.0,)),
-        TableEntry(
+        _reversible("strang", "ABA", 2, False, a=(0.5,), b=(1.0,)),
+        _reversible(
             "triple_jump4", "ABA", 4, False,
             a=(_GAMMA1 / 2.0, (_GAMMA1 + _GAMMA2) / 2.0),
             b=(_GAMMA1, _GAMMA2),
@@ -294,7 +258,7 @@ def _table_entries() -> list[TableEntry]:
     a0, a1 = 0.17354158169943656, 0.19379086394173623
     b0 = 0.06421454120274125 + 0.0245540186592381j
     b1 = 0.20166370500451958 - 0.0982277975564409j
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "NB5s4", "BAB", 4, True,
         a=(a0, a1, 1.0 - 2.0 * (a0 + a1)),
         b=(b0, b1, 0.5 - (b0.real + b1.real) + 0.1491719824749133j),
@@ -304,7 +268,7 @@ def _table_entries() -> list[TableEntry]:
     b0 = 0.07 + 0.019444288930263294j
     b1 = 0.16 - 0.20579973912385285j
     b2 = 0.16251793145097668 + 0.21219211957584155j
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "NB6s4", "BAB", 4, True,
         a=(a0, a1, 0.5 - (a0 + a1)),
         b=(b0, b1, b2, 1.0 - 2.0 * (b0.real + b1.real + b2.real)),
@@ -318,7 +282,7 @@ def _table_entries() -> list[TableEntry]:
     # the printed closure "b4 = 1 - 2 sum b_i" is read with a real-part
     # operator, as for the sibling entries; the complex reading breaks both
     # consistency and the reversal symmetry
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "NB8s5", "BAB", 5, True,
         a=(a0, a1, a2, 0.5 - (a0 + a1 + a2)),
         b=(b0, b1, b2, b3, 1.0 - 2.0 * (b0.real + b1.real + b2.real + b3.real)),
@@ -329,7 +293,7 @@ def _table_entries() -> list[TableEntry]:
     b1 = 0.065 + 0.0871906864166141j
     b2 = 0.087791471011534450 - 0.07869869176637824j
     b3 = 0.21903826707051549 + 0.005649631789653575j
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "NB9s5", "BAB", 5, True,
         a=(a0, a1, a2, a3, 1.0 - 2.0 * (a0 + a1 + a2 + a3)),
         b=(b0, b1, b2, b3,
@@ -343,7 +307,7 @@ def _table_entries() -> list[TableEntry]:
     b2 = 0.00000000664446 - 0.2132590752834j
     b3 = 0.2404799796837 + 0.10112304441789j
     b4 = 0.04313692053520 + 0.11954730647763j
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "NA11s6", "ABA", 6, True,
         a=a_list + (0.5 - sum(a_list),),
         b=(b0, b1, b2, b3, b4,
@@ -357,7 +321,7 @@ def _table_entries() -> list[TableEntry]:
     b2 = 0.09331583397900 - 0.09161071812994j
     b3 = 0.11799012127542 + 0.0702739287203j
     b4 = 0.16176918420712 - 0.04327349898459j
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "NB11s6", "BAB", 6, True,
         a=a_list + (1.0 - 2.0 * sum(a_list),),
         b=(b0, b1, b2, b3, b4,
@@ -368,7 +332,7 @@ def _table_entries() -> list[TableEntry]:
     # --- general-split family (no RKN assumption) ---
     a0 = 0.4706
     b0 = 0.1655101882118 + 0.03704896872215j
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "B3s3", "BAB", 3, False,
         a=(a0, 1.0 - 2.0 * a0),
         b=(b0, 0.5 - b0.real - 0.6300845020773j),
@@ -377,7 +341,7 @@ def _table_entries() -> list[TableEntry]:
     a0, a1 = 37.0 / 250.0, 0.22446218092466344
     b0 = 0.05338438633498185 - 0.03218942894140047j
     b1 = 0.19561815336463223 + 0.0992879758243923j
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "B5s4", "BAB", 4, False,
         a=(a0, a1, 1.0 - 2.0 * (a0 + a1)),
         b=(b0, b1, 0.5 - (b0.real + b1.real) - 0.14783578044680548j),
@@ -395,7 +359,7 @@ def _table_entries() -> list[TableEntry]:
         0.03061653536468681 + 0.07254698089135206j,
         0.10349890449629792 - 0.03539199012223482j,
     )
-    entries.append(TableEntry(
+    entries.append(_reversible(
         "B15s6", "BAB", 6, False,
         a=a_list + (1.0 - 2.0 * sum(a_list),),
         b=b_list + (0.5 - sum(b.real for b in b_list) + 0.0111821298374971054j,),
@@ -406,7 +370,7 @@ def _table_entries() -> list[TableEntry]:
 
 @functools.cache
 def _by_name() -> dict[str, SplittingScheme]:
-    return {e.name: expand_entry(e) for e in _table_entries()}
+    return {s.name: s for s in _table_entries()}
 
 
 def catalog() -> list[SplittingScheme]:

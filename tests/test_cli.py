@@ -592,3 +592,30 @@ def test_a_single_multiplicity_runs(tmp_path, capsys):
     assert cli.run(raw, out_dir=str(tmp_path / "order")) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical abort" and "fit window" in err["detail"]
+
+
+def test_dh_sweep_records_overflowed_points(tmp_path, capsys):
+    """S4's step matrix of the ARBITRARY draw overflows at h = 200: the run
+    exits 0 without a numpy warning and its header names the point.  A sweep
+    without failures writes no such line."""
+    for hs, failed in (([0.5, 200.0], ["# failed h [200.0]"]), ([0.5, 2.0], [])):
+        out = tmp_path / str(hs[-1])
+        raw = cfg(schemes=["S4"], matrix={"class": "ARBITRARY"}, h_values=hs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(raw, out_dir=str(out)) == 0
+        lines = (out / "dh_sweep_S4.csv").read_text().splitlines()
+        head = [line for line in lines if line.startswith("#")]
+        assert head[3].startswith("# h_star ") and head[4:] == failed
+        assert lines[len(head)] == "h,D_h"
+        assert len(lines) - len(head) - 1 == len(hs) - len(failed)
+    capsys.readouterr()
+
+
+def test_unwritable_output_directory_is_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert cli.run({"experiment": "SCHEMES_LIST"}, out_dir=str(blocker)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "unwritable output"
+    assert str(blocker) in err["detail"]

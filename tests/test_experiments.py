@@ -269,3 +269,33 @@ def test_drift_slope_recovers_linear_trend():
     for n in range(1, 50):
         s.add(float(n), {"e": 3e-8 * n + 1e-9})
     assert drift_slope(s, "e") == pytest.approx(3e-8, rel=1e-6)
+
+
+def test_dh_sweep_records_overflowed_step_matrices():
+    """S4's step matrix of the ARBITRARY draw has non-finite entries at
+    h = 200; the point is a failure and the other points keep their values."""
+    _, a, b = generate(spec_of("ARBITRARY"))
+    s4 = schemes.get_scheme("S4")
+    series = dh_sweep(s4, a, b, [0.5, 200.0, 2.0])
+    assert series.meta["failures"] == [200.0]
+    assert series.x.tolist() == [0.5, 2.0]
+    assert series.column("D_h").tolist() == \
+        dh_sweep(s4, a, b, [0.5, 2.0]).column("D_h").tolist()
+
+
+def test_dh_sweep_records_eigenvalues_beyond_the_float_range(sym_split, monkeypatch):
+    """LAPACK can return an infinite eigenvalue for a finite step matrix near
+    overflow (NB11s6 on the ARBITRARY draw at h = 327.6); the point is a
+    failure, not a non-finite D_h."""
+    _, a, b = sym_split
+    s31, h_grid = schemes.get_scheme("S31"), [0.1, 0.2, 0.3]
+    bad, eig = ex.step_matrix(s31, a, b, np.array(h_grid))[1], linalg.eig_general
+
+    def overflowing(m):
+        w = eig(m)
+        w[np.all(m == bad, axis=(-2, -1))] = np.inf
+        return w
+    monkeypatch.setattr(linalg, "eig_general", overflowing)
+    series = dh_sweep(s31, a, b, h_grid)
+    assert series.meta["failures"] == [0.2]
+    assert series.x.tolist() == [0.1, 0.3]

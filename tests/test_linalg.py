@@ -70,3 +70,10 @@ def test_eig_symmetric_rejects_asymmetric(rng):
         linalg.eig_symmetric(rng.standard_normal((5, 5)))
     with pytest.raises(linalg.DimensionError):
         linalg.eig_symmetric(np.eye(3) * (1.0 + 1e-6j))
+
+
+def test_eig_general_reports_non_finite_entries_as_numerical_error():
+    stack = np.zeros((2, 3, 3))
+    stack[1, 0, 2] = np.inf
+    with pytest.raises(linalg.NumericalError, match="non-finite"):
+        linalg.eig_general(stack)

@@ -7,12 +7,10 @@ from unisplit.schemes import (
     Factor,
     SchemeError,
     SplittingScheme,
-    TableEntry,
     catalog,
     catalog_names,
     delta_norms,
     drift_comparator,
-    expand_entry,
     get_scheme,
 )
 
@@ -315,8 +313,7 @@ def test_expand_entry_bab_central_a():
     """Hand-expanded mirror oracle for a small synthetic BAB entry."""
     a0, ar = 0.3 + 0.1j, 0.4
     b0, b1 = 0.2 + 0.2j, 0.3 - 0.2j
-    entry = TableEntry("tiny", "BAB", 2, False, a=(a0, ar), b=(b0, b1))
-    s = expand_entry(entry)
+    s = schemes._reversible("tiny", "BAB", 2, False, a=(a0, ar), b=(b0, b1))
     expected = [
         Factor("B", b0), Factor("A", a0), Factor("B", b1),
         Factor("A", ar),
@@ -328,17 +325,15 @@ def test_expand_entry_bab_central_a():
 
 
 def test_expand_entry_rejects_complex_central():
-    entry = TableEntry("bad", "BAB", 2, False,
-                       a=(0.3 + 0.1j, 0.4 + 0.05j), b=(0.2 + 0.2j, 0.3 - 0.2j))
-    with pytest.raises(SchemeError):
-        expand_entry(entry)
+    with pytest.raises(SchemeError, match="central A-coefficient must be real"):
+        schemes._reversible("bad", "BAB", 2, False,
+                            a=(0.3 + 0.1j, 0.4 + 0.05j), b=(0.2 + 0.2j, 0.3 - 0.2j))
 
 
 def test_expand_entry_rejects_inconsistent_closure():
-    entry = TableEntry("bad", "BAB", 2, False,
-                       a=(0.3 + 0.1j, 0.4), b=(0.2 + 0.2j, 0.25 - 0.2j))
     with pytest.raises(SchemeError, match="sum"):
-        expand_entry(entry)
+        schemes._reversible("bad", "BAB", 2, False,
+                            a=(0.3 + 0.1j, 0.4), b=(0.2 + 0.2j, 0.25 - 0.2j))
 
 
 @pytest.mark.parametrize("kind,a,b", [
@@ -349,7 +344,7 @@ def test_expand_entry_rejects_inconsistent_closure():
 ])
 def test_expand_entry_rejects_other_shapes(kind, a, b):
     with pytest.raises(SchemeError):
-        expand_entry(TableEntry("bad", kind, 2, False, a=a, b=b))
+        schemes._reversible("bad", kind, 2, False, a=a, b=b)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -389,8 +384,7 @@ def test_expansion_is_always_symmetric_conjugate(a_re, a_im, b_re, b_im):
     ar = 1.0 - 2.0 * a_re  # real central closure
     b0 = complex(b_re, b_im)
     b1 = complex(0.5 - b_re, b_im / 2.0)
-    entry = TableEntry("prop", "BAB", 2, False, a=(a0, ar), b=(b0, b1))
-    s = expand_entry(entry)
+    s = schemes._reversible("prop", "BAB", 2, False, a=(a0, ar), b=(b0, b1))
     assert s.is_symmetric_conjugate
     assert s.is_consistent
 
