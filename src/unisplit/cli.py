@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +85,7 @@ def _typed(kind: type):
     return read
 
 
-def _scheme_list(key: str, v) -> list[str]:
+def _scheme_list(key: str, v) -> list[schemes.SplittingScheme]:
     if not (isinstance(v, list) and v and all(isinstance(n, str) for n in v)):
         raise ConfigError(f"{key} must be a non-empty scheme list, got {v!r}")
     for name in v:
@@ -94,7 +93,7 @@ def _scheme_list(key: str, v) -> list[str]:
             raise ConfigError(f"unknown scheme {name!r}")
     if len(set(v)) != len(v):
         raise ConfigError(f"{key} must be distinct, got {v}")
-    return list(v)
+    return [schemes.get_scheme(name) for name in v]
 
 
 def _h_list(key: str, v) -> list[float]:
@@ -150,8 +149,9 @@ def _grid(raw: dict, form: str) -> tuple[spectral.SpectralGrid, np.ndarray]:
     if form == "ORDER on a grid" and grid.n > spectral.DENSE_MAX_N:
         raise ConfigError(f"ORDER on a grid assembles a dense H: grid n must be "
                           f"at most {spectral.DENSE_MAX_N}, got {grid.n}")
-    return grid, spectral.pt_potential(grid, _real("grid.alpha", g["alpha"]),
-                                       _real("grid.lam_prod", g["lam_prod"]))
+    return grid, _build("potential", spectral.pt_potential, grid,
+                        _real("grid.alpha", g["alpha"]),
+                        _real("grid.lam_prod", g["lam_prod"]))
 
 
 _READERS = {"output": _typed(str), "schemes": _scheme_list, "h_values": _h_list,
@@ -159,56 +159,43 @@ _READERS = {"output": _typed(str), "schemes": _scheme_list, "h_values": _h_list,
             "include_comparator": _typed(bool), "threshold": _real}
 
 
-@dataclass
-class ExperimentConfig:
-    """A config resolved against ``_FIELDS``: each field its experiment reads
-    holds the given value or the default, built once; the others are None."""
-
-    experiment: str
-    output: str | None = None
-    schemes: list[str] | None = None
-    matrix: experiments.MatrixClassSpec | None = None
-    grid: tuple[spectral.SpectralGrid, np.ndarray] | None = None
-    h_values: list[float] | None = None
-    t_final: float | None = None
-    n_steps: int | None = None
-    sample_every: int | None = None
-    include_comparator: bool | None = None
-    threshold: float | None = None
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        exp = raw.get("experiment")
-        if exp not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-        form = "ORDER on a grid" if exp == "ORDER" and "grid" in raw else exp
-        fields = {**_COMMON, **_FIELDS[form]}
-        unknown = raw.keys() - fields.keys()
-        if unknown:
-            raise ConfigError(f"unknown config fields for {form}: {sorted(unknown)}; "
-                              f"it reads {sorted(fields)}")
-        for pair in (("h_values", "h_range"), ("t_final", "n_steps")):
-            if raw.keys() >= set(pair):
-                raise ConfigError(f"{pair[0]} and {pair[1]} are both set; set one")
-        cfg = cls(exp)
-        for key, read in _READERS.items():
-            if key in fields:
-                setattr(cfg, key, read(key, raw.get(key, fields[key])))
-        if "h_range" in raw:
-            r = _object("h_range", raw["h_range"], _H_RANGE)
-            cfg.h_values = _h_list("h_range", _geomspace(
-                _real("h_range.min", r["min"]), _real("h_range.max", r["max"]),
-                _integer("h_range.points", r["points"])))
-        if "matrix" in fields:
-            cfg.matrix = _matrix(raw)
-        if "grid" in fields:
-            cfg.grid = _grid(raw, form)
-        if "n_steps" in fields:
-            cfg.n_steps = (_integer("n_steps", raw["n_steps"]) if "n_steps" in raw
-                           else max(1, round(cfg.t_final / cfg.h_values[0])))
-        if exp == "CONSERVATION" and len(cfg.h_values) != 1:
-            raise ConfigError(f"CONSERVATION runs one h; h_values has {cfg.h_values}")
-        return cfg
+def _resolve(raw: dict) -> dict:
+    """``raw`` resolved against ``_FIELDS``: exactly the fields its form
+    reads, each the given value or the default, built once.  ``seed`` is
+    folded into ``matrix``, ``h_range`` into ``h_values`` and CONSERVATION's
+    ``t_final`` into ``n_steps``."""
+    exp = raw.get("experiment")
+    if exp not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
+    form = "ORDER on a grid" if exp == "ORDER" and "grid" in raw else exp
+    fields = {**_COMMON, **_FIELDS[form]}
+    unknown = raw.keys() - fields.keys()
+    if unknown:
+        raise ConfigError(f"unknown config fields for {form}: {sorted(unknown)}; "
+                          f"it reads {sorted(fields)}")
+    for pair in (("h_values", "h_range"), ("t_final", "n_steps")):
+        if raw.keys() >= set(pair):
+            raise ConfigError(f"{pair[0]} and {pair[1]} are both set; set one")
+    cfg = {"experiment": exp}
+    for key, read in _READERS.items():
+        if key in fields:
+            cfg[key] = read(key, raw.get(key, fields[key]))
+    if "h_range" in raw:
+        r = _object("h_range", raw["h_range"], _H_RANGE)
+        cfg["h_values"] = _h_list("h_range", _geomspace(
+            _real("h_range.min", r["min"]), _real("h_range.max", r["max"]),
+            _integer("h_range.points", r["points"])))
+    if "matrix" in fields:
+        cfg["matrix"] = _matrix(raw)
+    if "grid" in fields:
+        cfg["grid"] = _grid(raw, form)
+    if "n_steps" in fields:
+        t_final = cfg.pop("t_final")
+        cfg["n_steps"] = (_integer("n_steps", raw["n_steps"]) if "n_steps" in raw
+                          else max(1, round(t_final / cfg["h_values"][0])))
+    if exp == "CONSERVATION" and len(cfg["h_values"]) != 1:
+        raise ConfigError(f"CONSERVATION runs one h; h_values has {cfg['h_values']}")
+    return cfg
 
 
 def _config_hash(raw: dict) -> str:
@@ -227,51 +214,50 @@ def _csv(cfg_hash: str, comments: list[str], body: str) -> str:
 _Artifacts = Iterator[tuple[str, str]]
 
 
-def _run_schemes_list(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
+def _run_schemes_list(cfg: dict, cfg_hash: str) -> _Artifacts:
     lines = ["name,kind,order,stages,delta_a,delta_b"]
     print(f"{'name':<14}{'kind':<6}{'order':<7}{'stages':<8}{'Δa':<10}{'Δb':<10}")
-    for name in cfg.schemes:
-        s = schemes.get_scheme(name)
+    for s in cfg["schemes"]:
         da, db = schemes.delta_norms(s)
         lines.append(f"{s.name},{s.kind},{s.order},{s.stages},{da:.17g},{db:.17g}")
         print(f"{s.name:<14}{s.kind:<6}{s.order:<7}{s.stages:<8}{da:<10.4f}{db:<10.4f}")
     yield "schemes_list.csv", _csv(cfg_hash, [], "\n".join(lines) + "\n")
 
 
-def _run_validate(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
+def _run_validate(cfg: dict, cfg_hash: str) -> _Artifacts:
     lines = ["name,consistent,symmetric_conjugate,positive_real_parts"]
-    for name in cfg.schemes:
-        rep = schemes.validate(schemes.get_scheme(name))
-        lines.append(f"{name},{rep.consistent},{rep.symmetric_conjugate},"
+    for s in cfg["schemes"]:
+        rep = schemes.validate(s)
+        lines.append(f"{s.name},{rep.consistent},{rep.symmetric_conjugate},"
                      f"{rep.positive_real_parts}")
-        print(f"{name}: {rep}")
+        print(f"{s.name}: {rep}")
     yield "validate.csv", _csv(cfg_hash, [], "\n".join(lines) + "\n")
 
 
-def _run_dh_sweep(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
-    spec = cfg.matrix
+def _run_dh_sweep(cfg: dict, cfg_hash: str) -> _Artifacts:
+    spec = cfg["matrix"]
     _, a, b = experiments.generate(spec)
-    for name in cfg.schemes:
-        series = experiments.dh_sweep(schemes.get_scheme(name), a, b, cfg.h_values,
-                                      threshold=cfg.threshold)
+    for s in cfg["schemes"]:
+        series = experiments.dh_sweep(s, a, b, cfg["h_values"],
+                                      threshold=cfg["threshold"])
         h_star, failed = series.meta["h_star"], series.meta["failures"]
-        yield f"dh_sweep_{name}.csv", _csv(cfg_hash, [
+        yield f"dh_sweep_{s.name}.csv", _csv(cfg_hash, [
             f"matrix class {spec.matrix_class.value} n={spec.n} seed={spec.seed}",
             f"h_star {h_star}", *([f"failed h {failed}"] if failed else [])],
             series.to_csv())
-        print(f"{name}: h* = {h_star}")
+        print(f"{s.name}: h* = {h_star}")
 
 
-def _run_conservation(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
-    grid, v = cfg.grid
-    (h,), n_steps = cfg.h_values, cfg.n_steps
+def _run_conservation(cfg: dict, cfg_hash: str) -> _Artifacts:
+    grid, v = cfg["grid"]
+    (h,), n_steps, asked = cfg["h_values"], cfg["n_steps"], cfg["sample_every"]
     # at most about 2000 samples per run
-    sample_every = max(cfg.sample_every, n_steps // 2000)
-    raised = ([f"sample_every raised from {cfg.sample_every} to {sample_every}"]
-              if sample_every != cfg.sample_every else [])
+    sample_every = max(asked, n_steps // 2000)
+    raised = ([f"sample_every raised from {asked} to {sample_every}"]
+              if sample_every != asked else [])
     u0 = spectral.initial_gaussian(grid)
-    chosen = [schemes.get_scheme(n) for n in cfg.schemes]
-    if cfg.include_comparator:
+    chosen = list(cfg["schemes"])
+    if cfg["include_comparator"]:
         chosen.append(schemes.drift_comparator())
     for s in chosen:
         series = experiments.conservation_run(s, grid, v, u0, h, n_steps,
@@ -294,101 +280,93 @@ def _run_conservation(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
         print(f"{s.name}: energy drift {drift:.3e} per step")
 
 
-def _run_efficiency(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
-    grid, v = cfg.grid
+def _run_efficiency(cfg: dict, cfg_hash: str) -> _Artifacts:
+    grid, v = cfg["grid"]
     u0 = spectral.initial_gaussian(grid)
-    for name in cfg.schemes:
-        s = schemes.get_scheme(name)
+    for s in cfg["schemes"]:
         series = experiments.DiagnosticSeries("h", ("fft_count", "max_energy_err"))
         skipped = []
-        for h in sorted(cfg.h_values):
+        for h in sorted(cfg["h_values"]):
             run = experiments.conservation_run(s, grid, v, u0, h,
-                                               max(1, round(cfg.t_final / h)))
+                                               max(1, round(cfg["t_final"] / h)))
             if "aborted" in run.meta:
                 # unstable cell: no data row, but the header records it
                 skipped.append(f"skipped h {h:.17g}: {run.meta['aborted']}")
                 continue
             series.add(h, {"fft_count": run.column("fft_count")[-1],
                            "max_energy_err": run.column("energy_err").max()})
-        yield f"efficiency_{name}.csv", _csv(
-            cfg_hash, [f"t_final {cfg.t_final:.17g}", *skipped], series.to_csv())
-        print(f"{name}: {len(series.rows)} efficiency points")
+        yield f"efficiency_{s.name}.csv", _csv(
+            cfg_hash, [f"t_final {cfg['t_final']:.17g}", *skipped], series.to_csv())
+        print(f"{s.name}: {len(series.rows)} efficiency points")
 
 
-def _run_order(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
-    if cfg.matrix is not None:
-        _, a, b = experiments.generate(cfg.matrix)
-    for name in cfg.schemes:
-        s = schemes.get_scheme(name)
-        if cfg.grid is not None:
-            fit = spectral.pt_empirical_order(s, *cfg.grid, cfg.h_values)
-        else:
-            fit = propagator.empirical_order(s, a, b, cfg.h_values)
+def _run_order(cfg: dict, cfg_hash: str) -> _Artifacts:
+    hs = cfg["h_values"]
+    if "grid" not in cfg:
+        _, a, b = experiments.generate(cfg["matrix"])
+    for s in cfg["schemes"]:
+        fit = (spectral.pt_empirical_order(s, *cfg["grid"], hs) if "grid" in cfg
+               else propagator.empirical_order(s, a, b, hs))
         series = experiments.DiagnosticSeries("h", ("error",))
         for h, e in sorted(zip(fit.h_used, fit.errors)):
             series.add(h, {"error": e})
-        yield f"order_{name}.csv", _csv(cfg_hash, [
+        yield f"order_{s.name}.csv", _csv(cfg_hash, [
             f"fitted slope {fit.slope:.17g}", f"excluded h {list(fit.excluded)}"],
             series.to_csv())
-        print(f"{name}: slope {fit.slope:.3f}")
+        print(f"{s.name}: slope {fit.slope:.3f}")
 
 
-def _run_rkn_check(cfg: ExperimentConfig, cfg_hash: str) -> _Artifacts:
-    grid, v = cfg.grid
-    u0 = spectral.initial_gaussian(grid)
-    payload = {"n": grid.n, "residual": spectral.rkn_residual(grid, v, u0),
-               "u0_norm": grid.norm(u0), "config_hash": cfg_hash}
+def _run_rkn_check(cfg: dict, cfg_hash: str) -> _Artifacts:
+    grid, v = cfg["grid"]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+        u0 = spectral.initial_gaussian(grid)
+        payload = {"n": grid.n, "residual": spectral.rkn_residual(grid, v, u0),
+                   "u0_norm": grid.norm(u0), "config_hash": cfg_hash}
+    if not all(map(math.isfinite, (payload["residual"], payload["u0_norm"]))):
+        raise linalg.NumericalError(f"RKN check values are not finite: {payload}")
     yield "rkn_check.json", json.dumps(payload, indent=2) + "\n"
     print(json.dumps(payload))
 
 
-_DISPATCH = {
-    "SCHEMES_LIST": _run_schemes_list,
-    "VALIDATE": _run_validate,
-    "DH_SWEEP": _run_dh_sweep,
-    "CONSERVATION": _run_conservation,
-    "EFFICIENCY": _run_efficiency,
-    "ORDER": _run_order,
-    "RKN_CHECK": _run_rkn_check,
-}
+_DISPATCH = {"SCHEMES_LIST": _run_schemes_list, "VALIDATE": _run_validate,
+             "DH_SWEEP": _run_dh_sweep, "CONSERVATION": _run_conservation,
+             "EFFICIENCY": _run_efficiency, "ORDER": _run_order,
+             "RKN_CHECK": _run_rkn_check}
 EXPERIMENTS = tuple(_DISPATCH)
+
+
+def _error(status: int, **doc: str) -> int:
+    """Print ``doc`` as a JSON error on stderr and return the exit ``status``."""
+    print(json.dumps(doc), file=sys.stderr)
+    return status
 
 
 def run(raw_config: dict, out_dir: str | None = None) -> int:
     """Validate and execute one experiment config; returns an exit status."""
     try:
-        cfg = ExperimentConfig.from_dict(raw_config)
+        cfg = _resolve(raw_config)
     except ConfigError as exc:
-        print(json.dumps({"error": "invalid config", "detail": str(exc)}),
-              file=sys.stderr)
-        return 2
-    out = Path(out_dir or cfg.output)
+        return _error(2, error="invalid config", detail=str(exc))
+    out = Path(out_dir or cfg["output"])
     cfg_hash = _config_hash(raw_config)
     try:
-        for name, text in _DISPATCH[cfg.experiment](cfg, cfg_hash):
+        for name, text in _DISPATCH[cfg["experiment"]](cfg, cfg_hash):
             out.mkdir(parents=True, exist_ok=True)
             (out / name).write_text(text, encoding="utf-8", newline="\n")
     except linalg.NumericalError as exc:
-        print(json.dumps({"error": "numerical abort", "detail": str(exc)}),
-              file=sys.stderr)
-        return 3
+        return _error(3, error="numerical abort", detail=str(exc))
     except OSError as exc:
-        print(json.dumps({"error": "unwritable output", "detail": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _error(2, error="unwritable output", detail=str(exc))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="unisplit",
-        description="Reversible complex-coefficient splitting experiments",
-    )
+    parser = argparse.ArgumentParser(prog="unisplit", description="Reversible "
+                                     "complex-coefficient splitting experiments")
     parser.add_argument("experiment", choices=[e.lower() for e in EXPERIMENTS])
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON experiment config")
-    parser.add_argument("--out", type=Path, default=None, help="artifact directory")
-    parser.add_argument("--seed", type=int, default=None, help="override seed")
+    parser.add_argument("--config", type=Path, help="JSON experiment config")
+    parser.add_argument("--out", type=Path, help="artifact directory")
+    parser.add_argument("--seed", type=int, help="override seed")
     args = parser.parse_args(argv)
 
     raw = {}
@@ -398,14 +376,10 @@ def main(argv: list[str] | None = None) -> int:
             if not isinstance(raw, dict):
                 raise ValueError(f"a config is a JSON object, not {raw!r}")
         except (OSError, ValueError) as exc:
-            print(json.dumps({"error": "unreadable config", "detail": str(exc)}),
-                  file=sys.stderr)
-            return 2
+            return _error(2, error="unreadable config", detail=str(exc))
     raw.setdefault("experiment", args.experiment.upper())
     if raw["experiment"] != args.experiment.upper():
-        print(json.dumps({"error": "config/CLI experiment mismatch"}),
-              file=sys.stderr)
-        return 2
+        return _error(2, error="config/CLI experiment mismatch")
     if args.seed is not None:
         raw["seed"] = args.seed
     return run(raw, out_dir=str(args.out) if args.out else None)

@@ -57,19 +57,22 @@ class MatrixClassSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
-        cls = self.matrix_class
-        if cls in (MatrixClass.MULTIPLE_EIGS_DIAG,
-                   MatrixClass.MULTIPLE_EIGS_NONSYM_SPLIT):
-            mult = self.multiplicities or (self.n // 2, self.n - self.n // 2)
-            object.__setattr__(self, "multiplicities", tuple(mult))
-            if sum(self.multiplicities) != self.n:
-                raise ValueError(
-                    f"multiplicities {self.multiplicities} do not sum to n={self.n}"
-                )
+        if not self.matrix_class.name.startswith("MULTIPLE_EIGS"):
+            if self.multiplicities:
+                raise ValueError(f"matrix class {self.matrix_class.name} reads no "
+                                 f"multiplicities, got {self.multiplicities}")
+            return
+        mult = tuple(self.multiplicities or (self.n // 2, self.n - self.n // 2))
+        object.__setattr__(self, "multiplicities", mult)
+        if min(mult) < 1:
+            raise ValueError(f"multiplicities {mult} must all be at least 1")
+        if sum(mult) != self.n:
+            raise ValueError(f"multiplicities {mult} do not sum to n={self.n}")
 
 
 def _rng(spec: MatrixClassSpec, substream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[spec.seed, substream]))
+    key = np.array([spec.seed, substream], dtype=np.uint64)  # exact up to 2**64 - 1
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _uniform(spec: MatrixClassSpec, substream: int) -> np.ndarray:

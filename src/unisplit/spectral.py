@@ -72,6 +72,9 @@ class SpectralGrid:
             raise ValueError(f"N must be a power of two, got {self.n}")
         if self.x_max <= self.x_min:
             raise ValueError("empty interval")
+        with np.errstate(over="ignore"):  # checked here, not warned
+            if not (math.isfinite(self.length) and np.isfinite(self.k**2 / 2.0).all()):
+                raise ValueError(f"grid length {self.length} or k^2/2 is not finite")
 
     @property
     def length(self) -> float:
@@ -168,7 +171,14 @@ def pt_potential(
     """Modified Poeschl-Teller well V(x) = -(alpha^2/2) lam_prod / cosh^2(alpha x)."""
     if alpha <= 0 or lam_prod <= 0:
         raise ValueError("alpha and lam_prod must be positive")
-    return -(alpha**2 / 2.0) * lam_prod / np.cosh(alpha * grid.x) ** 2
+    with np.errstate(over="ignore"):  # V is -0 where cosh overflows to inf
+        try:
+            depth = -(alpha**2 / 2.0) * lam_prod
+        except OverflowError:  # alpha**2 of a Python float
+            depth = -math.inf
+        if not math.isfinite(depth):
+            raise ValueError("the well depth (alpha^2/2) lam_prod is not finite")
+        return depth / np.cosh(alpha * grid.x) ** 2
 
 
 def initial_gaussian(grid: SpectralGrid) -> np.ndarray:

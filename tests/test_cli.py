@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -8,7 +9,7 @@ import pytest
 
 import unisplit
 from unisplit import cli, experiments, spectral
-from unisplit.cli import ConfigError, ExperimentConfig
+from unisplit.cli import ConfigError
 
 
 def cfg(**kw):
@@ -37,40 +38,40 @@ def _refused(tmp_path, capsys, status, *words):
 
 class TestConfigParsing:
     def test_minimal(self):
-        c = ExperimentConfig.from_dict(cfg())
-        assert c.experiment == "DH_SWEEP"
-        assert c.schemes == ["S31"]
+        c = cli._resolve(cfg())
+        assert c["experiment"] == "DH_SWEEP"
+        assert [s.name for s in c["schemes"]] == ["S31"]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
-            ExperimentConfig.from_dict(cfg(tolerance=1e-5))
+            cli._resolve(cfg(tolerance=1e-5))
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"experiment": "FROBNICATE"})
+            cli._resolve({"experiment": "FROBNICATE"})
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError, match="unknown scheme"):
-            ExperimentConfig.from_dict(cfg(schemes=["S99"]))
+            cli._resolve(cfg(schemes=["S99"]))
 
     def test_scheme_list_required(self):
         with pytest.raises(ConfigError, match="non-empty scheme list"):
-            ExperimentConfig.from_dict({"experiment": "ORDER"})
+            cli._resolve({"experiment": "ORDER"})
 
     def test_unknown_matrix_class(self):
         with pytest.raises(ConfigError, match="matrix class"):
-            ExperimentConfig.from_dict(cfg(matrix={"class": "WAT"}))
+            cli._resolve(cfg(matrix={"class": "WAT"}))
 
     def test_h_range_expansion(self):
-        c = ExperimentConfig.from_dict(
+        c = cli._resolve(
             cfg(h_range={"min": 0.1, "max": 1.0, "points": 5}))
-        assert len(c.h_values) == 5
-        assert c.h_values[0] == pytest.approx(0.1)
-        assert c.h_values[-1] == pytest.approx(1.0)
+        assert len(c["h_values"]) == 5
+        assert c["h_values"][0] == pytest.approx(0.1)
+        assert c["h_values"][-1] == pytest.approx(1.0)
 
     def test_negative_h_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(cfg(h_values=[0.1, -0.2]))
+            cli._resolve(cfg(h_values=[0.1, -0.2]))
 
 
 def test_config_hash_is_canonical():
@@ -361,12 +362,13 @@ def test_main_unreadable_config(tmp_path, capsys):
     ({"experiment": "RKN_CHECK", "grid": {"n": 64}, "schemes": ["S31"]}, "schemes"),
     (cfg(matrix={"class": "SYM_SIMPLE", "multiplicities": [5, 5]}), "multiplicities"),
     (conservation(include_comparator="no"), "include_comparator"),
+    (cfg(matrix={"class": "SYM_SIMPLE", "multiplicities": []}), "multiplicities"),
 ], ids=["conservation_two_h", "n_steps_and_t_final", "conservation_threshold",
         "conservation_matrix", "conservation_seed", "dh_sweep_grid",
         "dh_sweep_t_final", "dh_sweep_sample_every", "dh_sweep_comparator",
         "h_values_and_h_range", "seed_and_matrix_seed", "order_grid_and_matrix",
         "rkn_check_schemes", "multiplicities_on_simple_class",
-        "comparator_not_a_bool"])
+        "comparator_not_a_bool", "empty_multiplicities_on_simple_class"])
 def test_field_that_would_be_ignored_is_refused(tmp_path, capsys, raw, field):
     """Each config sets a field its experiment would not read, or would
     override with another; none of them runs."""
@@ -417,21 +419,27 @@ def test_conservation_runs_on_the_table_defaults(tmp_path, capsys):
     assert "NB11s6: energy drift " in capsys.readouterr().out
 
 
-def test_from_dict_resolves_the_table_defaults():
-    c = ExperimentConfig.from_dict({"experiment": "CONSERVATION"})
-    assert (c.schemes, c.h_values, c.t_final, c.n_steps) == \
-        (["NB11s6"], [100.0 / 909.0], 1e4, 90900)
-    assert (c.sample_every, c.include_comparator, c.output) == (1, True, ".")
-    assert c.grid[0] == spectral.SpectralGrid(n=256)
-    assert c.matrix is None and c.threshold is None
-    d = ExperimentConfig.from_dict(cfg(seed=7))
-    assert d.matrix == experiments.MatrixClassSpec(
+def test_resolve_gives_the_table_defaults():
+    """A config resolves to the fields its form reads, each built once:
+    ``seed`` goes into ``matrix`` and CONSERVATION's ``t_final`` into
+    ``n_steps``."""
+    c = cli._resolve({"experiment": "CONSERVATION"})
+    assert sorted(c) == ["experiment", "grid", "h_values", "include_comparator",
+                         "n_steps", "output", "sample_every", "schemes"]
+    assert [s.name for s in c["schemes"]] == ["NB11s6"]
+    assert (c["h_values"], c["n_steps"]) == ([100.0 / 909.0], 90900)
+    assert (c["sample_every"], c["include_comparator"], c["output"]) == (1, True, ".")
+    assert c["grid"][0] == spectral.SpectralGrid(n=256)
+    d = cli._resolve(cfg(seed=7))
+    assert d["matrix"] == experiments.MatrixClassSpec(
         experiments.MatrixClass.SYM_SIMPLE, n=10, seed=7)
-    assert d.grid is None and len(d.h_values) == 16
+    assert sorted(d) == ["experiment", "h_values", "matrix", "output", "schemes",
+                         "threshold"]
+    assert len(d["h_values"]) == 16
 
 
 def test_run_builds_the_potential_once(tmp_path, capsys, monkeypatch):
-    """The runner takes the grid and potential that ``from_dict`` built."""
+    """The runner takes the grid and potential that ``_resolve`` built."""
     built = []
     potential = spectral.pt_potential
     monkeypatch.setattr(spectral, "pt_potential",
@@ -619,3 +627,136 @@ def test_unwritable_output_directory_is_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "unwritable output"
     assert str(blocker) in err["detail"]
+
+
+#: One small config of each form of ``cli._FIELDS``.
+SMALL = {
+    "SCHEMES_LIST": {"experiment": "SCHEMES_LIST", "schemes": ["S31"]},
+    "VALIDATE": {"experiment": "VALIDATE", "schemes": ["S31"]},
+    "DH_SWEEP": cfg(h_values=[0.1, 1.0]),
+    "CONSERVATION": conservation(include_comparator=True),
+    "EFFICIENCY": {"experiment": "EFFICIENCY", "schemes": ["strang"], "grid": {"n": 64},
+                   "h_values": [0.1], "t_final": 0.5},
+    "ORDER": {"experiment": "ORDER", "schemes": ["strang"],
+              "h_values": [0.05, 0.1, 0.2]},
+    "ORDER on a grid": {"experiment": "ORDER", "schemes": ["strang"],
+                        "grid": {"n": 64}},
+    "RKN_CHECK": {"experiment": "RKN_CHECK", "grid": {"n": 64}},
+}
+
+
+class _Reads(dict):
+    """A resolved config that records each key read from it."""
+
+    def __init__(self, fields):
+        super().__init__(fields)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("form", list(cli._FIELDS))
+def test_every_resolved_field_is_read(tmp_path, capsys, monkeypatch, form):
+    """The resolved config holds the fields of ``_COMMON`` and of its form,
+    none of them None, and the run reads each one (``output`` too, as no
+    ``out_dir`` is given).  ``seed`` and ``h_range`` are folded into
+    ``matrix`` and ``h_values``, and CONSERVATION's ``t_final`` into
+    ``n_steps``: a flag accepted and then ignored fails here."""
+    resolved, resolve = [], cli._resolve
+
+    def recording(raw):
+        resolved.append(_Reads(resolve(raw)))
+        return resolved[-1]
+
+    monkeypatch.setattr(cli, "_resolve", recording)
+    assert cli.run({**SMALL[form], "output": str(tmp_path)}) == 0
+    (c,) = resolved
+    expected = (set(cli._COMMON) | set(cli._FIELDS[form])) - {"seed", "h_range"}
+    if form == "CONSERVATION":
+        expected -= {"t_final"}
+    assert set(c) == expected
+    assert None not in c.values()
+    assert c.read == expected
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw, names, digest", [
+    ({"experiment": "DH_SWEEP", "schemes": ["S31", "S4"],
+      "h_values": [0.05, 0.1, 0.2, 0.5, 1.0, 2.0]},
+     ["dh_sweep_S31.csv", "dh_sweep_S4.csv"],
+     "dae4f0aaae74dc3cacc9b3ebd041f1de6a2d8b06f43e4d2b58acfe9663f3718e"),
+    ({"experiment": "ORDER", "schemes": ["S31", "B5s4"]},
+     ["order_B5s4.csv", "order_S31.csv"],
+     "4219bebb1ed8fb219c3b0b94a2eb9ee045dc2842e26796f7aa515a6873af059d"),
+    ({"experiment": "ORDER", "schemes": ["NB5s4"], "grid": {"n": 64}},
+     ["order_NB5s4.csv"],
+     "d55f97135e63a51ef2c4baa7e1887e94611de5681b9295e0f1b1082fd760087f"),
+    ({"experiment": "CONSERVATION", "grid": {"n": 64}, "n_steps": 20},
+     ["conservation_NB11s6.csv", "conservation_pal2_b0.25_0.25.csv"],
+     "8c5d4d139bd2ae7f97da7af4d9a9e2103c53ae1a9110d42585f91e098b02294a"),
+    ({"experiment": "EFFICIENCY", "schemes": ["strang", "NB5s4"], "grid": {"n": 64},
+      "h_values": [0.05, 0.1, 0.2], "t_final": 1.0},
+     ["efficiency_NB5s4.csv", "efficiency_strang.csv"],
+     "4cdbefb68a9fcfecab91a08efc3a5e49e15b6785670768a12d0ac8eaac9e118e"),
+    ({"experiment": "RKN_CHECK", "grid": {"n": 64}}, ["rkn_check.json"],
+     "b7750f08c50885173eea3fe1e2a292bc0d59ffac442b9646cf01f00f07414264"),
+], ids=["dh_sweep", "order", "order_on_a_grid", "conservation", "efficiency",
+        "rkn_check"])
+def test_small_configs_are_pinned(tmp_path, capsys, raw, names, digest):
+    """The sha256 of each artifact's name and bytes, in name order, then of
+    stdout.  The pins hold for the numpy/SciPy build they were taken on; a
+    change of either may move the last bits of the numbers."""
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    paths = sorted(tmp_path.iterdir())
+    assert [p.name for p in paths] == names
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == digest
+
+
+def test_seed_of_2_64_minus_1_runs(tmp_path, capsys):
+    """``--seed`` takes the whole uint64 range, and the header names it."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(cfg(h_values=[0.1])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["dh_sweep", "--config", str(config), "--seed",
+                         "18446744073709551615", "--out", str(tmp_path)]) == 0
+    assert "# matrix class SYM_SIMPLE n=10 seed=18446744073709551615" in \
+        (tmp_path / "dh_sweep_S31.csv").read_text().splitlines()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("experiment", ["RKN_CHECK", "CONSERVATION", "EFFICIENCY"])
+@pytest.mark.parametrize("grid, words", [
+    ({"n": 8, "x_min": -1e308, "x_max": 1e308}, ["grid", "not finite"]),
+    ({"n": 8, "x_min": 0, "x_max": 1e-320}, ["grid", "not finite"]),
+    ({"n": 8, "alpha": 1e200}, ["potential", "well depth"]),
+], ids=["length_inf", "wavenumbers_inf", "alpha_squared_overflows"])
+def test_grid_beyond_the_float_range_is_a_config_error(tmp_path, capsys, experiment,
+                                                       grid, words):
+    """Each gave NaN or Infinity in RKN_CHECK's JSON, or a traceback, and
+    CONSERVATION and EFFICIENCY wrote no samples with exit 0."""
+    raw = {"experiment": experiment, "grid": grid}
+    if experiment != "RKN_CHECK":
+        raw.update(schemes=["strang"], h_values=[0.1], t_final=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = cli.run(raw, out_dir=str(tmp_path))
+    _refused(tmp_path, capsys, status, *words)
+
+
+def test_rkn_check_of_an_overflowing_well_is_a_numerical_abort(tmp_path, capsys):
+    """A finite well deep enough that [B,[B,[B,A]]] u0 overflows: exit 3,
+    and no JSON with NaN (not valid JSON) is written."""
+    raw = {"experiment": "RKN_CHECK", "grid": {"n": 8, "lam_prod": 1e300}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(raw, out_dir=str(tmp_path)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical abort" and "not finite" in err["detail"]
+    assert not list(tmp_path.iterdir())

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,38 @@ def test_a_single_multiplicity_is_a_multiple_of_the_identity():
 def test_multiplicities_must_sum_to_n():
     with pytest.raises(ValueError):
         spec_of("MULTIPLE_EIGS_DIAG", multiplicities=(3, 3))
+
+
+@pytest.mark.parametrize("cls, mult, words", [
+    ("SYM_SIMPLE", (3, 7), "reads no multiplicities"),
+    ("ARBITRARY", (10,), "reads no multiplicities"),
+    ("MULTIPLE_EIGS_DIAG", (0, 10), "at least 1"),
+    ("MULTIPLE_EIGS_NONSYM_SPLIT", (-2, 12), "at least 1"),
+])
+def test_multiplicities_that_would_be_ignored_or_are_below_one_are_refused(
+        cls, mult, words):
+    """A class without repeated eigenvalues would ignore them, and an entry
+    below 1 would give H = lam I or fail late inside ``np.repeat``."""
+    with pytest.raises(ValueError, match=words):
+        spec_of(cls, multiplicities=mult)
+
+
+def test_seeds_up_to_2_64_draw_distinct_matrices():
+    """The Philox key is a uint64 pair: seeds from 2**63 up are not rounded
+    to a float (2**63 and 2**63 + 1 drew the same H, 2**64 - 1 drew seed 0's
+    with a cast warning), and the draws of seeds below 2**63 keep their bits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hs = [generate(MatrixClassSpec(MatrixClass.ARBITRARY, seed=seed))[0]
+              for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+    assert len({h.tobytes() for h in hs}) == 4
+    digest = hashlib.sha256()
+    for seed in (1, 205, 2**32 + 3, 2**63 - 1):
+        for cls in ("ARBITRARY", "REAL_SIMPLE_EIGS"):
+            for m in generate(MatrixClassSpec(MatrixClass[cls], n=6, seed=seed)):
+                digest.update(m.tobytes())
+    assert digest.hexdigest() == \
+        "1a6a3bccbf92da9ab1603d40b1dd3101a293b4e17a5be06bc222b40869a70403"
 
 
 def test_generation_is_deterministic():

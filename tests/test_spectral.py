@@ -28,6 +28,15 @@ def test_grid_validation():
         SpectralGrid(n=64, x_min=1.0, x_max=-1.0)
 
 
+@pytest.mark.parametrize("x_min, x_max", [(-1e308, 1e308), (0.0, 1e-320)],
+                         ids=["length_inf", "wavenumbers_inf"])
+def test_grid_beyond_the_float_range_is_refused(x_min, x_max):
+    """An infinite length, or a length so short that k or k^2/2 overflows,
+    would give NaN states; the grid is refused, without a numpy warning."""
+    with pytest.raises(ValueError, match="not finite"):
+        SpectralGrid(n=8, x_min=x_min, x_max=x_max)
+
+
 def test_grid_geometry(grid64):
     assert grid64.dx == pytest.approx(16.0 / 64)
     assert grid64.x[0] == pytest.approx(-8.0)
@@ -69,6 +78,25 @@ def test_pt_potential_depth(grid256):
     assert np.all(v < 0)
     with pytest.raises(ValueError):
         pt_potential(grid256, alpha=-1.0)
+
+
+@pytest.mark.parametrize("alpha, lam_prod",
+                         [(1e200, 10.0), (1e154, 10.0), (2.0, 1e308)],
+                         ids=["alpha_squared_overflows", "depth_overflows",
+                              "lam_prod_overflows"])
+def test_pt_potential_of_an_infinite_depth_is_refused(grid256, alpha, lam_prod):
+    """(alpha^2/2) lam_prod beyond the float range is a ValueError, not an
+    ``OverflowError`` from ``alpha**2`` or an infinite well."""
+    with pytest.raises(ValueError, match="well depth"):
+        pt_potential(grid256, alpha=alpha, lam_prod=lam_prod)
+
+
+def test_pt_potential_is_minus_zero_where_cosh_overflows(grid256):
+    """A steep finite well: cosh(alpha x) overflows to inf away from x = 0,
+    where V is -0, without a numpy warning."""
+    v = pt_potential(grid256, alpha=1e100)
+    assert v[128] == -(1e100**2 / 2.0) * 10.0 and grid256.x[128] == 0.0
+    assert np.all(np.delete(v, 128) == 0.0)
 
 
 def test_initial_gaussian_normalized(grid256):
