@@ -31,13 +31,10 @@ class NumericalError(RuntimeError):
     """Failed iteration or unusable numerical result."""
 
 
-def as_matrix(m, stack: bool = False) -> np.ndarray:
-    """Validate and return ``m`` as a square complex matrix, finite entries.
-
-    With ``stack``, a 3-D stack of square matrices is accepted as well.
-    """
+def as_matrix(m) -> np.ndarray:
+    """Validate and return ``m`` as a square complex matrix, finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 and not (stack and a.ndim == 3):
+    if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix has non-finite entries")
@@ -60,7 +57,10 @@ def eig_general(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if not np.isfinite(a).all():
         raise NumericalError("matrix has non-finite entries")
-    a = as_matrix(a, stack=True)
+    if a.ndim not in (2, 3):
+        raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR iteration did not converge

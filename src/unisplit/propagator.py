@@ -42,31 +42,40 @@ def _eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     return lam, v, np.linalg.inv(v)
 
 
-@functools.lru_cache(maxsize=1)
-def _split_bases(shape: tuple[int, int], a_bytes: bytes, b_bytes: bytes) -> dict:
-    """``{"A": _eigenbasis(A), "B": _eigenbasis(B), "moves": moves}`` for the
-    complex128 operators held in ``a_bytes`` and ``b_bytes``, all read-only;
-    ``moves[src, dst]`` is the transfer matrix V_dst^-1 V_src from the
-    eigenbasis of operator ``src`` to that of ``dst``, None naming the
-    identity, which an operator past the cond guard uses as its basis.
+def _split(a, b) -> dict:
+    """The record of the split (a, b): `_split_record` keyed by their values."""
+    am, bm = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _split_record(am.shape, am.tobytes(), bm.shape, bm.tobytes())
 
-    The operators arrive as their bytes so that the cache key holds their
-    values, not the identity of the caller's arrays; a None from the guard
-    is cached like a basis.
+
+@functools.lru_cache(maxsize=1)
+def _split_record(a_shape, a_bytes: bytes, b_shape, b_bytes: bytes) -> dict:
+    """Everything kept about the latest split H = A + B, all read-only.
+
+    - ``"A"``, ``"B"``, ``"H"``: the validated operators and their sum;
+    - ``"bases"[op]``: ``_eigenbasis(op)``, None past the cond guard;
+    - ``"moves"[src, dst]``: the transfer matrix V_dst^-1 V_src from the
+      eigenbasis of ``src`` to that of ``dst``; None names the identity,
+      the basis of an operator past the guard;
+    - ``"refs"[h]``: expm(i h H), for each h `empirical_order` asked for.
+    The key holds the operators' values, not the caller's arrays.  An
+    exception is not cached, so an invalid operator raises on every call.
     """
-    bases, moves = {}, {}
-    for op, raw in (("A", a_bytes), ("B", b_bytes)):
-        basis = _eigenbasis(np.frombuffer(raw, dtype=complex).reshape(shape))
+    ops = {op: linalg.as_matrix(np.frombuffer(raw, dtype=complex).reshape(shape))
+           for op, shape, raw in (("A", a_shape, a_bytes), ("B", b_shape, b_bytes))}
+    if a_shape != b_shape:
+        raise linalg.DimensionError(f"shape mismatch {a_shape} vs {b_shape}")
+    bases, moves = {op: _eigenbasis(m) for op, m in ops.items()}, {}
+    for op, basis in bases.items():
         if basis is not None:
-            for arr in basis:
-                arr.flags.writeable = False
             moves[None, op], moves[op, None] = basis[2], basis[1]
-        bases[op] = basis
-    if bases["A"] is not None and bases["B"] is not None:
+    if None not in bases.values():
         for src, dst in (("A", "B"), ("B", "A")):
             moves[src, dst] = bases[dst][2] @ bases[src][1]
-            moves[src, dst].flags.writeable = False
-    return {**bases, "moves": moves}
+    hm = ops["A"] + ops["B"]
+    for arr in (hm, *moves.values(), *(basis[0] for basis in bases.values() if basis)):
+        arr.flags.writeable = False
+    return {**ops, "H": hm, "bases": bases, "moves": moves, "refs": {}}
 
 
 def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
@@ -78,37 +87,32 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     is the rightmost term of the accumulated product.
 
     The factors of an operator are V diag(exp(i h c lam)) V^-1 for the whole
-    stack at once.  The eigenbases of A and B and the transfer matrices
-    between them are kept for the latest split (keyed by their values); an
-    operator whose eigenvectors fail the condition guard has its factors
-    built by `linalg.expm`, one per h, on every call.
+    stack at once, with the eigenbases and transfer matrices of the split's
+    record (`_split_record`); an operator whose eigenvectors fail the
+    condition guard has its factors built by `linalg.expm`, one per h, on
+    every call.
     """
-    am = linalg.as_matrix(a)
-    bm = linalg.as_matrix(b)
-    if am.shape != bm.shape:
-        raise linalg.DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
+    split = _split(a, b)
     h_arr = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h_arr.ndim > 1:
         raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
     ih = 1j * h_arr.reshape(-1)
-    ops = {"A": am, "B": bm}
-    split = _split_bases(am.shape, am.tobytes(), bm.tobytes())
-    phases = {}
-    for op in ops:
-        if split[op] is not None:  # one exp for all the factors of op, in order
-            c = np.array([f.coeff for f in scheme.factors if f.op == op])
-            p = np.exp((ih[:, None] * c[None, :])[:, :, None] * split[op][0])
+    bases, moves, phases = split["bases"], split["moves"], {}
+    for op, basis in bases.items():
+        if basis is not None:  # one exp for all the factors of op, in order
+            c = np.array(scheme.coefficients(op))
+            p = np.exp((ih[:, None] * c[None, :])[:, :, None] * basis[0])
             phases[op] = iter(p.transpose(1, 0, 2)[:, :, :, None])
     # the product so far is V @ s, with V the eigenvectors of the operator
     # named by `at` (the identity when it is None); s is a read-only move or
     # an expm stack until the first product lands in one of two buffers
-    bufs = [np.empty((len(ih),) + am.shape, dtype=complex) for _ in range(2)]
+    bufs = [np.empty((len(ih),) + split["H"].shape, dtype=complex) for _ in range(2)]
     s, at = None, None
     for f in (*scheme.factors, None):  # None: the closing move to the identity
-        to = None if f is None or split[f.op] is None else f.op
-        left = [split["moves"][at, to]] if to != at else []
+        to = None if f is None or bases[f.op] is None else f.op
+        left = [moves[at, to]] if to != at else []
         if f is not None and to is None:
-            left.append(np.array([linalg.expm(z * ops[f.op]) for z in ih * f.coeff]))
+            left.append(np.array([linalg.expm(z * split[f.op]) for z in ih * f.coeff]))
         for m in left:  # a product goes to the buffer that s is not in
             s = m if s is None else np.matmul(m, s, out=bufs[s is bufs[0]])
         if to is not None:  # a row scaling stays in s's buffer, if it has one
@@ -119,23 +123,7 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
 
 def exact_propagator(h_matrix, t: float) -> np.ndarray:
     """Exact flow expm(i t H)."""
-    return linalg.expm(1j * t * linalg.as_matrix(h_matrix))
-
-
-@functools.lru_cache(maxsize=1)
-def _exact_propagators(
-    shape: tuple[int, int], hm_bytes: bytes, h_bytes: bytes
-) -> tuple[np.ndarray, ...]:
-    """``exact_propagator(H, h)`` for each h of a grid, read-only.
-
-    The key is the whole grid: `empirical_order` walks one grid per call, so
-    a per-h cache smaller than the grid would be evicted before its reuse.
-    """
-    hm = np.frombuffer(hm_bytes, dtype=complex).reshape(shape)
-    refs = tuple(exact_propagator(hm, h) for h in np.frombuffer(h_bytes))
-    for ref in refs:
-        ref.flags.writeable = False
-    return refs
+    return linalg.expm(1j * t * np.asarray(h_matrix, dtype=complex))
 
 
 def reversibility_report(
@@ -195,19 +183,17 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
     Points below the round-off plateau (error < 1e-12) or outside the
     asymptotic window (error > 1e-1) are excluded and reported.
 
-    The references expm(i h H) are kept for the latest (H, grid) pair, keyed
-    by their values, so a sweep of schemes over one split and grid builds
-    them once.
+    The references expm(i h H) are kept in the split's record, one per h, so
+    a sweep of schemes over one split builds each of them once.
     """
-    am = linalg.as_matrix(a)
-    bm = linalg.as_matrix(b)
-    hm = am + bm
-    h_arr = np.asarray(h_grid, dtype=float)
-    refs = _exact_propagators(hm.shape, hm.tobytes(), h_arr.tobytes())
-    errors = [
-        float(np.linalg.norm(s_h - ref))
-        for s_h, ref in zip(step_matrix(scheme, am, bm, h_arr), refs)
-    ]
+    split, h_arr = _split(a, b), np.asarray(h_grid, dtype=float)
+    refs, hs = split["refs"], h_arr.reshape(-1).tolist()
+    for h in hs:
+        if h not in refs:
+            refs[h] = exact_propagator(split["H"], h)
+            refs[h].flags.writeable = False
+    errors = [float(np.linalg.norm(s_h - refs[h])) for s_h, h
+              in zip(step_matrix(scheme, split["A"], split["B"], h_arr), hs)]
     return fit_loglog(h_arr, errors)
 
 
@@ -232,11 +218,10 @@ def eigenphase_error(scheme: SplittingScheme, a, b, h) -> float | np.ndarray:
     worst = np.zeros(len(hs))
     live = hs != 0.0
     if live.any():
-        am = linalg.as_matrix(a)
-        bm = linalg.as_matrix(b)
-        lam, _ = linalg.eig_symmetric(am + bm)
+        split = _split(a, b)
+        lam, _ = linalg.eig_symmetric(split["H"])
         exact = np.exp(1j * hs[live, None] * lam)
-        omega = linalg.eig_general(step_matrix(scheme, am, bm, hs[live]))
+        omega = linalg.eig_general(step_matrix(scheme, a, b, hs[live]))
         # dist[k, i, j] = |omega_i - exact_j| at the k-th nonzero h
         dist = np.abs(omega[:, :, None] - exact[:, None, :])
         near = dist.min(axis=2)

@@ -182,9 +182,15 @@ def pt_potential(
 
 
 def initial_gaussian(grid: SpectralGrid) -> np.ndarray:
-    """Gaussian sigma*exp(-x^2/2), normalized to unit weighted L2 norm."""
-    u = np.exp(-grid.x**2 / 2.0).astype(complex)
-    return u / grid.norm(u)
+    """Gaussian sigma*exp(-x^2/2), normalized to unit weighted L2 norm; a
+    grid on which it underflows to norm 0 is a `linalg.NumericalError`."""
+    with np.errstate(over="ignore"):  # an x^2 of inf gives exp(-inf) = 0
+        u = np.exp(-grid.x**2 / 2.0).astype(complex)
+    norm = grid.norm(u)
+    if not 0.0 < norm < math.inf:
+        raise linalg.NumericalError(f"initial state exp(-x^2/2) underflows to norm "
+                                    f"{norm} on x in [{grid.x_min}, {grid.x_max}]")
+    return u / norm
 
 
 @functools.lru_cache(maxsize=1)

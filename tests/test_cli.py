@@ -760,3 +760,24 @@ def test_rkn_check_of_an_overflowing_well_is_a_numerical_abort(tmp_path, capsys)
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical abort" and "not finite" in err["detail"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("experiment",
+                         ["CONSERVATION", "EFFICIENCY", "ORDER", "RKN_CHECK"])
+def test_initial_state_that_underflows_is_a_numerical_abort(tmp_path, capsys,
+                                                            experiment):
+    """On a valid grid far from x = 0, exp(-x^2/2) is 0 everywhere.  The
+    first two exited 0 with no samples after a RuntimeWarning, ORDER named a
+    state overflow and RKN_CHECK non-finite values."""
+    raw = {"experiment": experiment, "grid": {"n": 64, "x_min": 1000, "x_max": 2000}}
+    if experiment != "RKN_CHECK":
+        raw.update(schemes=["strang"], h_values=[0.1])
+    if experiment in ("CONSERVATION", "EFFICIENCY"):
+        raw["t_final"] = 0.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(raw, out_dir=str(tmp_path)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "numerical abort", "detail": "initial state exp(-x^2/2) "
+                   "underflows to norm 0.0 on x in [1000.0, 2000.0]"}
+    assert not list(tmp_path.iterdir())

@@ -50,10 +50,12 @@ def test_eig_general_stack(rng):
     w = linalg.eig_general(stack)
     assert w.shape == (3, 4)
     assert np.array_equal(w, [linalg.eig_general(m) for m in stack])
-    with pytest.raises(linalg.DimensionError):
+    with pytest.raises(linalg.DimensionError, match="square"):
         linalg.eig_general(np.zeros((2, 3, 4)))
+    with pytest.raises(linalg.DimensionError, match="ndim=4"):
+        linalg.eig_general(np.zeros((2, 2, 3, 3)))
     with pytest.raises(linalg.DimensionError):
-        linalg.as_matrix(stack)  # stacks only where asked for
+        linalg.as_matrix(stack)  # only eig_general takes a stack
 
 
 def test_eig_symmetric_contract(rng):

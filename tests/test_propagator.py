@@ -44,9 +44,8 @@ def nilpotent(rng, n):
 
 
 def clear_memos():
-    """Empty the per-split memos, so that a call after this one is cold."""
-    propagator._split_bases.cache_clear()
-    propagator._exact_propagators.cache_clear()
+    """Empty the split record, so that a call after this one is cold."""
+    propagator._split_record.cache_clear()
 
 
 def split_of(cls):
@@ -240,7 +239,7 @@ def test_memo_alternating_splits_match_cold_calls():
 
 def test_memo_sees_an_operator_changed_in_place():
     a, b = split_of("SYM_SIMPLE")
-    a = a.astype(complex)  # as_matrix then returns the caller's own array
+    a = a.astype(complex)  # the record then reads the caller's own array
     s = schemes.get_scheme("S31")
     clear_memos()
     before = step_matrix(s, a, b, H_SWEEP)
@@ -252,24 +251,63 @@ def test_memo_sees_an_operator_changed_in_place():
     assert not np.array_equal(after, before)
 
 
+def invalid_split(case, a, b):
+    """(A, B, error, message) of an invalid split beside the valid (a, b)."""
+    if case == "nan entry":
+        a = a.copy()
+        a[2, 3] = np.nan
+        return a, b, ValueError, "non-finite"
+    if case == "non-square":
+        return a[:, :-1], b[:, :-1], linalg.DimensionError, "square"
+    return a, b[:-1, :-1], linalg.DimensionError, "shape mismatch"
+
+
+@pytest.mark.parametrize("case", ["nan entry", "non-square", "mismatched shapes"])
+def test_invalid_operator_raises_on_every_call(case):
+    """An invalid split raises each time, also right after a valid split was
+    memoised, and leaves that split's record as it was."""
+    a, b = split_of("SYM_SIMPLE")
+    s = schemes.get_scheme("NB5s4")
+
+    def results(a, b):
+        return (step_matrix(s, a, b, H_SWEEP).tobytes(),
+                empirical_order(s, a, b, H_ORDER),
+                eigenphase_error(s, a, b, H_ORDER).tobytes())
+
+    clear_memos()
+    cold = results(a, b)
+    bad_a, bad_b, error, message = invalid_split(case, a, b)
+    for _ in range(2):
+        for call in (step_matrix, empirical_order, eigenphase_error):
+            with pytest.raises(error, match=message):
+                call(s, bad_a, bad_b, H_ORDER)
+    assert results(a, b) == cold
+    clear_memos()
+    assert results(a, b) == cold
+
+
+def record_arrays(split):
+    """Every array the record of ``split`` holds."""
+    return ([split[op] for op in "ABH"] + list(split["refs"].values())
+            + [arr for basis in split["bases"].values() if basis for arr in basis]
+            + list(split["moves"].values()))
+
+
 def test_memo_entries_are_read_only():
     a, b = split_of("ARBITRARY")
     clear_memos()
     empirical_order(schemes.get_scheme("strang"), a, b, H_ORDER)
-    am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
-    bases = propagator._split_bases(am.shape, am.tobytes(), bm.tobytes())
-    hm = am + bm
-    refs = propagator._exact_propagators(hm.shape, hm.tobytes(), H_ORDER.tobytes())
-    assert propagator._split_bases.cache_info().hits == 1
-    assert propagator._exact_propagators.cache_info().hits == 1
-    moves = bases["moves"]
+    split = propagator._split(a, b)
+    assert propagator._split_record.cache_info().misses == 1
+    bases, moves = split["bases"], split["moves"]
+    assert split["H"].tobytes() == (a + b).astype(complex).tobytes()
+    assert list(split["refs"]) == H_ORDER.tolist()
     # to and from the identity are V^-1 and V; the transfers are new arrays
     assert set(moves) == {(None, "A"), ("A", None), (None, "B"), ("B", None),
                           ("A", "B"), ("B", "A")}
     assert moves[None, "A"] is bases["A"][2] and moves["B", None] is bases["B"][1]
-    arrays = ([arr for op in "AB" for arr in bases[op]] + list(refs)
-              + [moves["A", "B"], moves["B", "A"]])
-    assert len(arrays) == 6 + len(H_ORDER) + 2
+    arrays = record_arrays(split)
+    assert len(arrays) == 3 + len(H_ORDER) + 6 + 6
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -280,11 +318,11 @@ def test_memo_moves_of_a_guarded_split(rng):
     """An operator past the cond guard has no basis: the moves are those to
     and from the other operator's eigenbasis, read-only."""
     for label, a, b in guarded_splits(rng):
-        am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
-        bases = propagator._split_bases(am.shape, am.tobytes(), bm.tobytes())
-        kept = [op for op in "AB" if bases[op] is not None]
-        assert set(bases["moves"]) == {k for op in kept for k in ((None, op), (op, None))}
-        assert not any(arr.flags.writeable for arr in bases["moves"].values())
+        split = propagator._split(a, b)
+        kept = [op for op in "AB" if split["bases"][op] is not None]
+        identity_moves = {k for op in kept for k in ((None, op), (op, None))}
+        assert set(split["moves"]) == identity_moves
+        assert not any(arr.flags.writeable for arr in record_arrays(split))
 
 
 def test_returned_stacks_share_no_memory_with_the_memo(rng):
@@ -293,14 +331,12 @@ def test_returned_stacks_share_no_memory_with_the_memo(rng):
     splits = [("SYM_SIMPLE",) + split_of("SYM_SIMPLE"),
               ("ARBITRARY",) + split_of("ARBITRARY")] + guarded_splits(rng)
     for label, a, b in splits:
-        am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
+        empirical_order(schemes.get_scheme("strang"), a, b, H_ORDER)  # fills refs
         for s in schemes.catalog():
             for h in (H_ORDER, 0.3):
                 got = step_matrix(s, a, b, h)
                 want = got.copy()
-                bases = propagator._split_bases(am.shape, am.tobytes(), bm.tobytes())
-                memo = [arr for op in "AB" if bases[op] for arr in bases[op]]
-                memo += list(bases["moves"].values())
+                memo = record_arrays(propagator._split(a, b))
                 assert not any(np.shares_memory(got, arr) for arr in memo)
                 got[...] = np.nan
                 assert_bitwise(step_matrix(s, a, b, h), want, (label, s.name))
@@ -320,11 +356,16 @@ def test_memo_diagonalises_each_operator_once(cls, monkeypatch):
         step_matrix(s, a, b, 0.3)
     assert len(calls) == 2 and "expm" not in calls  # one eigh or eig per operator
     # the transfer matrices are built with the bases, once per split
-    assert propagator._split_bases.cache_info().misses == 1
+    assert propagator._split_record.cache_info().misses == 1
     calls.clear()
     for s in schemes.catalog():
         empirical_order(s, a, b, H_ORDER)
     assert calls == ["expm"] * len(H_ORDER)
+    # a grid that shares h with the last one builds only its new references
+    calls.clear()
+    empirical_order(s, a, b, np.append(H_ORDER[::2], 0.45))
+    assert calls == ["expm"]
+    assert propagator._split_record.cache_info().misses == 1
 
 
 def test_step_matrix_rejects_2d_h(sym_split):

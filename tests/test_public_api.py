@@ -10,6 +10,7 @@ import pytest
 import unisplit
 
 MODULES = [m.name for m in pkgutil.iter_modules(unisplit.__path__)]
+SOURCE = Path(unisplit.__path__[0])
 
 
 @pytest.mark.parametrize("short", MODULES)
@@ -24,9 +25,11 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def test_acceptance_suite_reads_no_private_names():
-    tree = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
-    bound = set()  # local names of unisplit and its modules
+def _private_reads(path: Path) -> tuple[set[str], list[str]]:
+    """(the local names bound to unisplit and its modules, the private names
+    of them that the file at ``path`` imports or reads)."""
+    tree = ast.parse(path.read_text())
+    bound = set()
     private = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -43,5 +46,18 @@ def test_acceptance_suite_reads_no_private_names():
                 root = root.value
             if isinstance(root, ast.Name) and root.id in bound:
                 private.append(f"{root.id}...{node.attr} (line {node.lineno})")
+    return bound, private
+
+
+def test_acceptance_suite_reads_no_private_names():
+    bound, private = _private_reads(Path(__file__).with_name("test_acceptance.py"))
     assert bound, "no unisplit import found"
     assert not private, f"the acceptance suite reads private names: {private}"
+
+
+@pytest.mark.parametrize("short", sorted(p.stem for p in SOURCE.glob("*.py")))
+def test_module_reads_no_private_names_of_another(short):
+    # a module's own private names are bare names, so every read found here
+    # is of another unisplit module
+    _, private = _private_reads(SOURCE / f"{short}.py")
+    assert not private, f"unisplit.{short} reads private names: {private}"

@@ -106,6 +106,17 @@ def test_initial_gaussian_normalized(grid256):
     assert u.max().real == pytest.approx(np.pi ** -0.25, rel=1e-10)
 
 
+@pytest.mark.parametrize("x_min, x_max", [(1000.0, 2000.0), (-2e300, -1e300)])
+def test_initial_gaussian_that_underflows_is_a_numerical_error(x_min, x_max):
+    grid = SpectralGrid(n=64, x_min=x_min, x_max=x_max)
+    with pytest.raises(linalg.NumericalError, match="underflows to norm 0.0"):
+        initial_gaussian(grid)  # x^2 overflows on the second, without a warning
+    # a grid whose Gaussian is tiny but has a norm keeps the plain formula's bits
+    grid = SpectralGrid(n=64, x_min=20.0, x_max=30.0)
+    u = np.exp(-grid.x**2 / 2.0).astype(complex)
+    assert initial_gaussian(grid).tobytes() == (u / grid.norm(u)).tobytes()
+
+
 def test_split_step_counts_ffts(pt256):
     grid, v = pt256
     s = schemes.get_scheme("NB5s4")
