@@ -88,37 +88,62 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
 
     The factors of an operator are V diag(exp(i h c lam)) V^-1 for the whole
     stack at once, with the eigenbases and transfer matrices of the split's
-    record (`_split_record`); an operator whose eigenvectors fail the
-    condition guard has its factors built by `linalg.expm`, one per h, on
-    every call.
+    record (`_split_record`) and one phase `exp` per distinct coefficient of
+    the operator; an operator whose eigenvectors fail the condition guard has
+    its factors built by `linalg.expm`, one per h, on every call.
+
+    The product is accumulated transposed, T[i] = S[i]^T, as one (k*n, n)
+    block of rows: a transfer matrix M applies to the whole stack as one
+    GEMM, ``rows @ M^T``, and a factor's row scaling diag(p) S as the column
+    scaling T diag(p).  Every row block of that GEMM has the bits of the same
+    product on that block alone, so a stack equals its scalar calls bit for
+    bit.  The result is the transposed view of T, a fresh writeable array.
     """
     split = _split(a, b)
     h_arr = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h_arr.ndim > 1:
         raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
     ih = 1j * h_arr.reshape(-1)
-    bases, moves, phases = split["bases"], split["moves"], {}
+    n = split["H"].shape[0]
+    bases, phases = split["bases"], {}
+    # the moves M^T, complex so that no GEMM casts its operand
+    moves = {key: m.T if m.dtype.kind == "c" else m.T.astype(complex)
+             for key, m in split["moves"].items()}
+    distinct = {"A": {}, "B": {}}  # the coefficients of each operator, once each
+    for f in scheme.factors:
+        distinct[f.op][f.coeff] = None
     for op, basis in bases.items():
-        if basis is not None:  # one exp for all the factors of op, in order
-            c = np.array(scheme.coefficients(op))
-            p = np.exp((ih[:, None] * c[None, :])[:, :, None] * basis[0])
-            phases[op] = iter(p.transpose(1, 0, 2)[:, :, :, None])
-    # the product so far is V @ s, with V the eigenvectors of the operator
-    # named by `at` (the identity when it is None); s is a read-only move or
-    # an expm stack until the first product lands in one of two buffers
-    bufs = [np.empty((len(ih),) + split["H"].shape, dtype=complex) for _ in range(2)]
-    s, at = None, None
+        if basis is not None:  # phases[op][c]: exp(i h c lam), one (1, n) row per h
+            cs = distinct[op]
+            z = ih[:, None] * np.fromiter(cs, complex, len(cs))[None, :]
+            phases[op] = dict(zip(cs, np.exp(z.T[:, :, None, None] * basis[0])))
+    # the product so far is V @ S', with V the eigenvectors of the operator
+    # named by `at` (the identity when it is None); t holds S'^T, in bufs[i]
+    # from the first product on, and before that the first move
+    shape = (len(ih), n, n)
+    bufs = [np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)]
+    rows = [bufs[0].reshape(-1, n), bufs[1].reshape(-1, n)]
+    t, i, at = None, 0, None
     for f in (*scheme.factors, None):  # None: the closing move to the identity
         to = None if f is None or bases[f.op] is None else f.op
-        left = [moves[at, to]] if to != at else []
-        if f is not None and to is None:
-            left.append(np.array([linalg.expm(z * split[f.op]) for z in ih * f.coeff]))
-        for m in left:  # a product goes to the buffer that s is not in
-            s = m if s is None else np.matmul(m, s, out=bufs[s is bufs[0]])
-        if to is not None:  # a row scaling stays in s's buffer, if it has one
-            s = np.multiply(next(phases[to]), s, out=bufs[s is bufs[1]])
+        if to != at:  # a move M: one GEMM, rows @ M^T, over all k*n rows
+            if t is None:
+                t = moves[at, to]
+            else:
+                np.matmul(rows[i], moves[at, to], out=rows[1 - i])
+                i = 1 - i
+                t = bufs[i]
+        if to is not None:  # a column scaling T diag(p), in place in a buffer
+            t = np.multiply(phases[to][f.coeff], t, out=bufs[i])
+        elif f is not None:  # an operator past the guard: T expm(i h c Op)^T
+            e = [linalg.expm(z * split[f.op]).T for z in ih * f.coeff]
+            if t is None:
+                t = np.stack(e, out=bufs[i])
+            else:
+                i = 1 - i
+                t = np.matmul(t, np.array(e), out=bufs[i])
         at = to
-    return s[0] if h_arr.ndim == 0 else s
+    return t[0].T if h_arr.ndim == 0 else t.transpose(0, 2, 1)
 
 
 def exact_propagator(h_matrix, t: float) -> np.ndarray:
@@ -202,8 +227,8 @@ def eigenphase_error(scheme: SplittingScheme, a, b, h) -> float | np.ndarray:
 
     ``h`` is a scalar, giving a float, or a 1-D array, giving an array of one
     error per entry; an entry h = 0 gives 0.  A, B and H = A + B are
-    diagonalised once for the whole array, so a grid costs one `step_matrix`
-    and one `eig_general` call.
+    validated and diagonalised once for the whole array, whatever h is, so a
+    grid costs one `step_matrix` and one `eig_general` call.
 
     H = A + B must be real symmetric.  Eigenvalues are paired greedily to the
     nearest exact phase; a pairing-ambiguity warning is issued via
@@ -215,11 +240,10 @@ def eigenphase_error(scheme: SplittingScheme, a, b, h) -> float | np.ndarray:
     if h_arr.ndim > 1:
         raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
     hs = h_arr.reshape(-1)
+    lam, _ = linalg.eig_symmetric(_split(a, b)["H"])  # validates whatever h is
     worst = np.zeros(len(hs))
     live = hs != 0.0
     if live.any():
-        split = _split(a, b)
-        lam, _ = linalg.eig_symmetric(split["H"])
         exact = np.exp(1j * hs[live, None] * lam)
         omega = linalg.eig_general(step_matrix(scheme, a, b, hs[live]))
         # dist[k, i, j] = |omega_i - exact_j| at the k-th nonzero h

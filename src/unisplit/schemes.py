@@ -85,7 +85,6 @@ class SplittingScheme:
         return "BAB" if self.factors[0].op == "B" else "ABA"
 
     def coefficients(self, op: str) -> tuple[complex, ...]:
-        # a list, not a generator: tuple(genexpr) raised step_matrix's peak RSS 1 MB
         return tuple([f.coeff for f in self.factors if f.op == op])
 
     @property

@@ -216,7 +216,7 @@ def _factor_phases(
     v_bytes: bytes,
 ) -> tuple[tuple[str, complex, np.ndarray, float], ...]:
     """(op, coeff, phase, gain) for each factor of ``scheme``; phases are
-    read-only.
+    read-only, and factors with equal (op, coeff) share one phase and gain.
 
     ``gain = m*m*(1 + 1e-9)`` with ``m = max|phase|`` bounds the factor's
     growth of the squared norm (see :func:`split_step`).  It is a float
@@ -228,14 +228,14 @@ def _factor_phases(
     """
     v_pot = np.frombuffer(v_bytes, dtype=v_dtype).reshape(v_shape)
     k2 = _half_k2(grid)
-    factors = []
+    built = {}
     for f in scheme.factors:
-        c = f.coeff
-        phase = np.exp(-1j * h * c * (k2 if f.op == "A" else v_pot))
-        phase.flags.writeable = False
-        m = float(np.max(np.abs(phase)))
-        factors.append((f.op, c, phase, m * m * _NORM2_MARGIN))
-    return tuple(factors)
+        if (f.op, f.coeff) not in built:
+            phase = np.exp(-1j * h * f.coeff * (k2 if f.op == "A" else v_pot))
+            phase.flags.writeable = False
+            m = float(np.max(np.abs(phase)))
+            built[f.op, f.coeff] = phase, m * m * _NORM2_MARGIN
+    return tuple([(f.op, f.coeff, *built[f.op, f.coeff]) for f in scheme.factors])
 
 
 def split_step(

@@ -36,6 +36,16 @@ def expm_product(scheme, a, b, h):
     return s
 
 
+def expm_product_transposed(scheme, a, b, h):
+    """`expm_product` in the transposed order of `step_matrix`: the transpose
+    T of the product so far takes each factor as T @ expm(i h c Op)^T."""
+    t = None
+    for f in scheme.factors:
+        e_t = scipy.linalg.expm(1j * h * f.coeff * (a if f.op == "A" else b)).T
+        t = e_t if t is None else t @ e_t
+    return t.T
+
+
 def nilpotent(rng, n):
     """A rank-one u w^T with w^T u = 0, so that its square is zero."""
     u, w = rng.standard_normal(n), rng.standard_normal(n)
@@ -54,34 +64,37 @@ def split_of(cls):
 
 
 def _reference_step_matrix(scheme, a, b, h):
-    """The step matrix as built before the transfer matrices were memoised:
-    every change of operator forms V_to^-1 V_from again, every factor takes
-    its own phases, and every product is a fresh array."""
+    """The step matrix as built before the transfer matrices were memoised,
+    in the transposed order of `step_matrix`: it accumulates T = S^T, every
+    change of operator forms M = V_to^-1 V_from again and applies it as
+    T @ M^T, one matrix at a time, every factor takes its own phases p as
+    the column scaling T diag(p), and every product is a fresh array."""
     am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
     ops = {"A": am, "B": bm}
     bases = {op: propagator._eigenbasis(m) for op, m in ops.items()}
     h_arr = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     ih = 1j * h_arr.reshape(-1)
-    s, basis_of = None, None
+    t, basis_of = None, None
     for f in scheme.factors:
         z = ih * f.coeff
         basis = bases[f.op]
         if basis is None:
             if basis_of is not None:
-                s, basis_of = bases[basis_of][1] @ s, None
+                t, basis_of = t @ bases[basis_of][1].T, None
             e = np.empty((len(z),) + am.shape, dtype=complex)
             for i, zi in enumerate(z):
-                e[i] = linalg.expm(zi * ops[f.op])
-            s = e if s is None else e @ s
+                e[i] = linalg.expm(zi * ops[f.op]).T
+            t = e if t is None else t @ e
             continue
         lam, _, v_inv = basis
         if basis_of != f.op:
-            t = v_inv if basis_of is None else v_inv @ bases[basis_of][1]
-            s = t if s is None else t @ s
+            m = v_inv if basis_of is None else v_inv @ bases[basis_of][1]
+            t = m.T if t is None else t @ m.T
             basis_of = f.op
-        s = np.exp(z[:, None] * lam)[:, :, None] * s
+        t = np.exp(z[:, None] * lam)[:, None, :] * t
     if basis_of is not None:
-        s = bases[basis_of][1] @ s
+        t = t @ bases[basis_of][1].T
+    s = t.transpose(0, 2, 1)
     return s[0] if h_arr.ndim == 0 else s
 
 
@@ -174,6 +187,40 @@ def test_step_matrix_stack_equals_scalar_calls(cls, rng):
         assert np.array_equal(stack, [step_matrix(s, a, b, h) for h in H_SWEEP])
 
 
+def layout_splits(rng):
+    """(name, A, B): n = 10 splits of two classes, a 2x2 and a 16x16 split,
+    and a guarded split (B nilpotent)."""
+    m = rng.standard_normal((2, 16, 16))
+    return ([(cls,) + split_of(cls) for cls in ("SYM_SIMPLE", "ARBITRARY")]
+            + [("2x2",) + two_level_split(), ("16x16", m[0] + m[0].T, m[1])]
+            + guarded_splits(rng)[:1])
+
+
+def test_sub_stacks_equal_the_rows_of_the_full_stack(rng):
+    """The rows of a stack have the bits of a call on any prefix or suffix
+    of its grid: one GEMM over all k*n rows computes each row block as a
+    product on that block alone would."""
+    grid = np.geomspace(0.01, 10.0, 64)
+    for label, a, b in layout_splits(rng):
+        for s in schemes.catalog():
+            full = step_matrix(s, a, b, grid)
+            for k in (1, 2, 7, 28):
+                for part in (slice(None, k), slice(-k, None)):
+                    assert_bitwise(step_matrix(s, a, b, grid[part]), full[part],
+                                   (label, s.name, k, part))
+
+
+def test_step_matrix_result_is_writeable_and_any_strides_give_its_eigenvalues(rng):
+    for label, a, b in layout_splits(rng):
+        for s in schemes.catalog():
+            for h in (H_ORDER, 0.3):
+                got = step_matrix(s, a, b, h)
+                assert got.flags.writeable, (label, s.name)
+                assert_bitwise(linalg.eig_general(got),
+                               linalg.eig_general(np.ascontiguousarray(got)),
+                               (label, s.name))
+
+
 @pytest.mark.parametrize("cls", [m.name for m in experiments.MatrixClass])
 def test_step_matrix_matches_expm_product(cls):
     spec = experiments.MatrixClassSpec(experiments.MatrixClass[cls], n=10, seed=0)
@@ -189,9 +236,10 @@ def test_step_matrix_defective_operators_take_expm_path(rng, monkeypatch):
     s = schemes.get_scheme("NB11s6")
     h = np.array([0.1, 0.7])
     # both operators defective: every factor is an expm, as in the product
+    # taken in step_matrix's transposed order
     a, b = nilpotent(rng, 5), nilpotent(rng, 5)
     for s_h, hk in zip(step_matrix(s, a, b, h), h):
-        assert np.array_equal(s_h, expm_product(s, a, b, hk))
+        assert np.array_equal(s_h, expm_product_transposed(s, a, b, hk))
     # only B defective: its factors, and no others, go through expm, on
     # every call, the memoised ones too
     m = rng.standard_normal((5, 5))
@@ -433,6 +481,23 @@ def test_fit_requires_two_points():
 def test_eigenphase_error_zero_h(sym_split):
     _, a, b = sym_split
     assert eigenphase_error(schemes.get_scheme("S31"), a, b, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("h", [0.0, np.zeros(3)], ids=["scalar", "array"])
+@pytest.mark.parametrize("case", ["nan entry", "mismatched shapes", "non-symmetric H"])
+def test_eigenphase_error_validates_the_split_at_zero_h(sym_split, case, h):
+    """An invalid split raises also when every h is 0, as for any other h."""
+    _, a, b = sym_split
+    if case == "non-symmetric H":
+        a, b = a.copy(), b.copy()
+        a[0, 1] += 0.5
+        error, message = linalg.DimensionError, "asymmetric"
+    else:
+        a, b, error, message = invalid_split(case, a, b)
+    s = schemes.get_scheme("S31")
+    for hh in (h, 0.1):
+        with pytest.raises(error, match=message):
+            eigenphase_error(s, a, b, hh)
 
 
 def test_eigenphase_error_scales(sym_split):

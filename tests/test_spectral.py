@@ -376,6 +376,26 @@ def test_phase_cache_keys_on_h_grid_and_dtype(pt64, change):
     assert np.array_equal(got, _reference_split_step(s, grid, v, u, h))
 
 
+@pytest.mark.parametrize("h", [0.1, 0.4])
+def test_repeated_factors_share_one_phase(pt256, h):
+    """Each phase and gain has the bits of its own per-factor build, and the
+    factors with equal (op, coeff) share one array."""
+    grid, v = pt256
+    k2 = grid.k**2 / 2.0
+    for s in ALL_SCHEMES:
+        spectral._factor_phases.cache_clear()
+        phases = spectral._factor_phases(s, grid, h, v.dtype.str, v.shape, v.tobytes())
+        assert [(op, c) for op, c, _, _ in phases] == [(f.op, f.coeff) for f in s.factors]
+        first = {}
+        for op, c, phase, gain in phases:
+            fresh = np.exp(-1j * h * c * (k2 if op == "A" else v))
+            m = float(np.max(np.abs(fresh)))
+            assert phase.tobytes() == fresh.tobytes(), (s.name, op, c)
+            assert gain == m * m * (1 + 1e-9)
+            assert phase is first.setdefault((op, c), phase)
+        assert len({id(phase) for _, _, phase, _ in phases}) == len(first)
+
+
 def test_cached_arrays_are_read_only(pt64):
     grid, v, _, _, _ = pt64
     s = schemes.get_scheme("strang")
