@@ -30,32 +30,27 @@ def _geomspace(lo: float, hi: float, points: int) -> list[float]:
 
 
 _SCHEME_NAMES = schemes.catalog_names()
-_COMMON = {"experiment": None, "output": "."}
+_COMMON = {"experiment": None}
 _GRID = {"n": 256, "x_min": -8.0, "x_max": 8.0, "alpha": 1.0, "lam_prod": 10.0}
-_MATRIX = {"class": "SYM_SIMPLE", "n": 10, "seed": 0, "multiplicities": []}
-_H_RANGE = {"min": None, "max": None, "points": 16}
+_MATRIX = {"class": "SYM_SIMPLE", "n": 10, "multiplicities": []}
 
 #: Every field each experiment reads besides those of ``_COMMON``, with its
-#: default.  ``None`` marks a field that must be given, or one given instead
-#: of another: ``h_range`` instead of ``h_values``, ``n_steps`` instead of
-#: ``t_final`` and ``seed`` instead of ``matrix.seed``.  ORDER reads a
-#: matrix or, when it is given one, a grid.  A config that sets a field its
-#: experiment does not read, or both of such a pair, is a ConfigError.
+#: default; ``None`` marks a field that must be given.  ORDER reads a matrix
+#: or, when it is given one, a grid.  A config that sets a field its
+#: experiment does not read is a ConfigError.
 _FIELDS = {
     "SCHEMES_LIST": {"schemes": _SCHEME_NAMES},
     "VALIDATE": {"schemes": None},
-    "DH_SWEEP": {"schemes": None, "matrix": _MATRIX, "seed": None,
-                 "h_values": _geomspace(0.01, 10.0, 16), "h_range": None,
-                 "threshold": experiments.DH_THRESHOLD},
+    "DH_SWEEP": {"schemes": None, "matrix": _MATRIX, "seed": 0,
+                 "h_values": _geomspace(0.01, 10.0, 16)},
     "CONSERVATION": {"schemes": ["NB11s6"], "grid": _GRID,
-                     "h_values": [100.0 / 909.0], "t_final": 1e4, "n_steps": None,
-                     "sample_every": 1, "include_comparator": True},
+                     "h_values": [100.0 / 909.0], "t_final": 1e4, "sample_every": 1},
     "EFFICIENCY": {"schemes": None, "grid": _GRID, "h_values": _geomspace(0.02, 0.4, 8),
-                   "h_range": None, "t_final": 100.0},
-    "ORDER": {"schemes": None, "matrix": _MATRIX, "seed": None,
-              "h_values": _geomspace(0.05, 0.4, 8), "h_range": None},
+                   "t_final": 100.0},
+    "ORDER": {"schemes": None, "matrix": _MATRIX, "seed": 0,
+              "h_values": _geomspace(0.05, 0.4, 8)},
     "ORDER on a grid": {"schemes": None, "grid": _GRID,
-                        "h_values": _geomspace(0.02, 0.25, 8), "h_range": None},
+                        "h_values": _geomspace(0.02, 0.25, 8)},
     "RKN_CHECK": {"grid": _GRID},
 }
 
@@ -74,15 +69,6 @@ def _real(key: str, v, positive: bool = True) -> float:
         sign = "positive " if positive else ""
         raise ConfigError(f"{key} must be a {sign}finite number, got {v!r}")
     return x
-
-
-def _typed(kind: type):
-    """The reader of a JSON value that Python reads as a ``kind``."""
-    def read(key: str, v):
-        if not isinstance(v, kind):
-            raise ConfigError(f"{key} must be a JSON {kind.__name__}, got {v!r}")
-        return v
-    return read
 
 
 def _scheme_list(key: str, v) -> list[schemes.SplittingScheme]:
@@ -123,11 +109,8 @@ def _build(what: str, make, *args):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _matrix(raw: dict) -> experiments.MatrixClassSpec:
-    given = raw.get("matrix", {})
+def _matrix(given, seed) -> experiments.MatrixClassSpec:
     m = _object("matrix", given, _MATRIX)
-    if "seed" in raw and "seed" in given:
-        raise ConfigError("seed and matrix.seed are both set; set one")
     name, mult = m["class"], m["multiplicities"]
     if name not in [c.name for c in experiments.MatrixClass]:
         raise ConfigError(f"unknown matrix class {name!r}")
@@ -137,7 +120,7 @@ def _matrix(raw: dict) -> experiments.MatrixClassSpec:
         raise ConfigError(f"matrix.multiplicities must be a list, got {mult!r}")
     return _build("matrix", experiments.MatrixClassSpec, experiments.MatrixClass[name],
                   _integer("matrix.n", m["n"]),
-                  _integer("seed", raw.get("seed", m["seed"]), 0, 2**64 - 1),
+                  _integer("seed", seed, 0, 2**64 - 1),
                   tuple(_integer("matrix.multiplicities", k) for k in mult))
 
 
@@ -154,16 +137,14 @@ def _grid(raw: dict, form: str) -> tuple[spectral.SpectralGrid, np.ndarray]:
                         _real("grid.lam_prod", g["lam_prod"]))
 
 
-_READERS = {"output": _typed(str), "schemes": _scheme_list, "h_values": _h_list,
-            "t_final": _real, "sample_every": _integer,
-            "include_comparator": _typed(bool), "threshold": _real}
+_READERS = {"schemes": _scheme_list, "h_values": _h_list, "t_final": _real,
+            "sample_every": _integer}
 
 
 def _resolve(raw: dict) -> dict:
     """``raw`` resolved against ``_FIELDS``: exactly the fields its form
     reads, each the given value or the default, built once.  ``seed`` is
-    folded into ``matrix``, ``h_range`` into ``h_values`` and CONSERVATION's
-    ``t_final`` into ``n_steps``."""
+    folded into ``matrix``."""
     exp = raw.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
@@ -173,26 +154,14 @@ def _resolve(raw: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config fields for {form}: {sorted(unknown)}; "
                           f"it reads {sorted(fields)}")
-    for pair in (("h_values", "h_range"), ("t_final", "n_steps")):
-        if raw.keys() >= set(pair):
-            raise ConfigError(f"{pair[0]} and {pair[1]} are both set; set one")
     cfg = {"experiment": exp}
     for key, read in _READERS.items():
         if key in fields:
             cfg[key] = read(key, raw.get(key, fields[key]))
-    if "h_range" in raw:
-        r = _object("h_range", raw["h_range"], _H_RANGE)
-        cfg["h_values"] = _h_list("h_range", _geomspace(
-            _real("h_range.min", r["min"]), _real("h_range.max", r["max"]),
-            _integer("h_range.points", r["points"])))
     if "matrix" in fields:
-        cfg["matrix"] = _matrix(raw)
+        cfg["matrix"] = _matrix(raw.get("matrix", {}), raw.get("seed", fields["seed"]))
     if "grid" in fields:
         cfg["grid"] = _grid(raw, form)
-    if "n_steps" in fields:
-        t_final = cfg.pop("t_final")
-        cfg["n_steps"] = (_integer("n_steps", raw["n_steps"]) if "n_steps" in raw
-                          else max(1, round(t_final / cfg["h_values"][0])))
     if exp == "CONSERVATION" and len(cfg["h_values"]) != 1:
         raise ConfigError(f"CONSERVATION runs one h; h_values has {cfg['h_values']}")
     return cfg
@@ -238,8 +207,7 @@ def _run_dh_sweep(cfg: dict, cfg_hash: str) -> _Artifacts:
     spec = cfg["matrix"]
     _, a, b = experiments.generate(spec)
     for s in cfg["schemes"]:
-        series = experiments.dh_sweep(s, a, b, cfg["h_values"],
-                                      threshold=cfg["threshold"])
+        series = experiments.dh_sweep(s, a, b, cfg["h_values"])
         h_star, failed = series.meta["h_star"], series.meta["failures"]
         yield f"dh_sweep_{s.name}.csv", _csv(cfg_hash, [
             f"matrix class {spec.matrix_class.value} n={spec.n} seed={spec.seed}",
@@ -250,16 +218,14 @@ def _run_dh_sweep(cfg: dict, cfg_hash: str) -> _Artifacts:
 
 def _run_conservation(cfg: dict, cfg_hash: str) -> _Artifacts:
     grid, v = cfg["grid"]
-    (h,), n_steps, asked = cfg["h_values"], cfg["n_steps"], cfg["sample_every"]
+    (h,), asked = cfg["h_values"], cfg["sample_every"]
+    n_steps = max(1, round(cfg["t_final"] / h))
     # at most about 2000 samples per run
     sample_every = max(asked, n_steps // 2000)
     raised = ([f"sample_every raised from {asked} to {sample_every}"]
               if sample_every != asked else [])
     u0 = spectral.initial_gaussian(grid)
-    chosen = list(cfg["schemes"])
-    if cfg["include_comparator"]:
-        chosen.append(schemes.drift_comparator())
-    for s in chosen:
+    for s in [*cfg["schemes"], schemes.drift_comparator()]:
         series = experiments.conservation_run(s, grid, v, u0, h, n_steps,
                                               sample_every)
         aborted = ([f"aborted at step {series.meta['aborted_at_step']}: "
@@ -341,13 +307,13 @@ def _error(status: int, **doc: str) -> int:
     return status
 
 
-def run(raw_config: dict, out_dir: str | None = None) -> int:
+def run(raw_config: dict, out_dir: str = ".") -> int:
     """Validate and execute one experiment config; returns an exit status."""
     try:
         cfg = _resolve(raw_config)
     except ConfigError as exc:
         return _error(2, error="invalid config", detail=str(exc))
-    out = Path(out_dir or cfg["output"])
+    out = Path(out_dir)
     cfg_hash = _config_hash(raw_config)
     try:
         for name, text in _DISPATCH[cfg["experiment"]](cfg, cfg_hash):
@@ -365,8 +331,8 @@ def main(argv: list[str] | None = None) -> int:
                                      "complex-coefficient splitting experiments")
     parser.add_argument("experiment", choices=[e.lower() for e in EXPERIMENTS])
     parser.add_argument("--config", type=Path, help="JSON experiment config")
-    parser.add_argument("--out", type=Path, help="artifact directory")
-    parser.add_argument("--seed", type=int, help="override seed")
+    parser.add_argument("--out", default=".", help="artifact directory")
+    parser.add_argument("--seed", type=int, help="the seed of a matrix config")
     args = parser.parse_args(argv)
 
     raw = {}
@@ -381,8 +347,11 @@ def main(argv: list[str] | None = None) -> int:
     if raw["experiment"] != args.experiment.upper():
         return _error(2, error="config/CLI experiment mismatch")
     if args.seed is not None:
+        if "seed" in raw:
+            return _error(2, error="invalid config",
+                          detail="--seed and the config both set seed; set one")
         raw["seed"] = args.seed
-    return run(raw, out_dir=str(args.out) if args.out else None)
+    return run(raw, out_dir=args.out)
 
 
 if __name__ == "__main__":

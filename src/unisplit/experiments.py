@@ -173,17 +173,11 @@ class DiagnosticSeries:
         return "\n".join(lines) + "\n"
 
 
-def dh_sweep(
-    scheme: SplittingScheme,
-    a,
-    b,
-    h_grid,
-    threshold: float = DH_THRESHOLD,
-) -> DiagnosticSeries:
+def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
     """D_h = max_j || |omega_j| - 1 || over the eigenvalues of S_h, per h.
 
     ``series.meta['h_star']`` records the largest grid point below the first h
-    with D_h > threshold (None when the very first point already exceeds it).
+    with D_h > `DH_THRESHOLD` (None when the first point already exceeds it).
     A point whose step matrix or eigenvalues overflow, or whose eigensolver
     fails, is recorded in ``meta['failures']`` and the sweep continues.
     """
@@ -219,7 +213,7 @@ def dh_sweep(
             continue
         series.add(h, {"D_h": d_h})
         if not exceeded:
-            if d_h > threshold:
+            if d_h > DH_THRESHOLD:
                 exceeded = True
             else:
                 h_star = h

@@ -54,9 +54,9 @@ def _split_record(a_shape, a_bytes: bytes, b_shape, b_bytes: bytes) -> dict:
 
     - ``"A"``, ``"B"``, ``"H"``: the validated operators and their sum;
     - ``"bases"[op]``: ``_eigenbasis(op)``, None past the cond guard;
-    - ``"moves"[src, dst]``: the transfer matrix V_dst^-1 V_src from the
-      eigenbasis of ``src`` to that of ``dst``; None names the identity,
-      the basis of an operator past the guard;
+    - ``"moves"[src, dst]``: M^T, complex, for the transfer matrix
+      M = V_dst^-1 V_src from the eigenbasis of ``src`` to that of ``dst``;
+      None names the identity, the basis of an operator past the guard;
     - ``"refs"[h]``: expm(i h H), for each h `empirical_order` asked for.
     The key holds the operators' values, not the caller's arrays.  An
     exception is not cached, so an invalid operator raises on every call.
@@ -72,8 +72,12 @@ def _split_record(a_shape, a_bytes: bytes, b_shape, b_bytes: bytes) -> dict:
     if None not in bases.values():
         for src, dst in (("A", "B"), ("B", "A")):
             moves[src, dst] = bases[dst][2] @ bases[src][1]
+    # the operands of step_matrix's GEMMs, complex so that none casts them
+    moves = {key: m.T if m.dtype.kind == "c" else m.T.astype(complex)
+             for key, m in moves.items()}
     hm = ops["A"] + ops["B"]
-    for arr in (hm, *moves.values(), *(basis[0] for basis in bases.values() if basis)):
+    for arr in (hm, *moves.values(),
+                *(x for basis in bases.values() if basis for x in basis)):
         arr.flags.writeable = False
     return {**ops, "H": hm, "bases": bases, "moves": moves, "refs": {}}
 
@@ -105,10 +109,9 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
         raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
     ih = 1j * h_arr.reshape(-1)
     n = split["H"].shape[0]
-    bases, phases = split["bases"], {}
-    # the moves M^T, complex so that no GEMM casts its operand
-    moves = {key: m.T if m.dtype.kind == "c" else m.T.astype(complex)
-             for key, m in split["moves"].items()}
+    if not ih.size:  # an empty grid, on any valid split
+        return np.empty((0, n, n), dtype=complex)
+    bases, moves, phases = split["bases"], split["moves"], {}
     distinct = {"A": {}, "B": {}}  # the coefficients of each operator, once each
     for f in scheme.factors:
         distinct[f.op][f.coeff] = None

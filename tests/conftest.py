@@ -57,14 +57,15 @@ _acceptance: list[dict] = []
 
 def pytest_runtest_logreport(report):
     """Collect the acceptance lines a test printed, from its captured stdout
-    (empty under ``-s``, which turns capturing off)."""
+    (empty under ``-s``, which turns capturing off), each with the duration
+    of the test's call phase in seconds (its fixtures' setup not included)."""
     if report.when != "call":
         return
     for line in report.capstdout.splitlines():
         m = ACCEPTANCE_LINE.fullmatch(line)
         if m:
-            _acceptance.append({"test": report.nodeid, "tag": m[1],
-                                "result": m[2], "detail": m[3]})
+            _acceptance.append({"test": report.nodeid, "tag": m[1], "result": m[2],
+                                "detail": m[3], "duration_s": report.duration})
 
 
 def pytest_sessionfinish(session):

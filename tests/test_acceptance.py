@@ -16,6 +16,8 @@ Criterion 5b checks the design order p of each RKN scheme in two parts:
   ||E_{p+1}|| >= 1e4 * max_{k<=p} ||E_k||, which pins the order exactly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,18 @@ def test_criterion_10_efficiency_at_equal_cost(pt256):
     report("10 efficiency at equal FFT count", ok,
            f"NB5s4 {err_new:.2e} vs triple_jump4 {err_ref:.2e} "
            f"at {fft_new} vs {fft_ref} FFTs")
+
+
+def test_acceptance_record_keeps_each_line_with_its_call_duration(monkeypatch):
+    """``conftest`` keeps the ACCEPTANCE lines of a call phase, each with
+    that phase's duration, and skips other lines and phases."""
+    import conftest
+
+    monkeypatch.setattr(conftest, "_acceptance", [])
+    out = "noise\nACCEPTANCE 4 unit-modulus thresholds: PASS — all 14 schemes\n"
+    for when in ("setup", "call", "teardown"):
+        conftest.pytest_runtest_logreport(SimpleNamespace(
+            when=when, nodeid="tests/x.py::t", duration=1.25, capstdout=out))
+    assert conftest._acceptance == [
+        {"test": "tests/x.py::t", "tag": "4 unit-modulus thresholds",
+         "result": "PASS", "detail": "all 14 schemes", "duration_s": 1.25}]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,7 @@ def cfg(**kw):
 
 def conservation(**kw):
     base = {"experiment": "CONSERVATION", "schemes": ["S31"], "grid": {"n": 64},
-            "h_values": [0.05], "n_steps": 10, "include_comparator": False}
+            "h_values": [0.05], "t_final": 0.5}
     base.update(kw)
     return base
 
@@ -62,13 +63,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="matrix class"):
             cli._resolve(cfg(matrix={"class": "WAT"}))
 
-    def test_h_range_expansion(self):
-        c = cli._resolve(
-            cfg(h_range={"min": 0.1, "max": 1.0, "points": 5}))
-        assert len(c["h_values"]) == 5
-        assert c["h_values"][0] == pytest.approx(0.1)
-        assert c["h_values"][-1] == pytest.approx(1.0)
-
     def test_negative_h_rejected(self):
         with pytest.raises(ConfigError):
             cli._resolve(cfg(h_values=[0.1, -0.2]))
@@ -107,7 +101,7 @@ def test_schemes_list_artifact(tmp_path, capsys):
 
 
 def test_artifacts_are_byte_identical(tmp_path, capsys):
-    raw = cfg(h_values=[0.1, 0.3, 1.0], matrix={"class": "SYM_SIMPLE", "seed": 3})
+    raw = cfg(h_values=[0.1, 0.3, 1.0], matrix={"class": "SYM_SIMPLE"}, seed=3)
     assert cli.run(dict(raw), out_dir=str(tmp_path / "one")) == 0
     assert cli.run(dict(raw), out_dir=str(tmp_path / "two")) == 0
     a = (tmp_path / "one" / "dh_sweep_S31.csv").read_bytes()
@@ -139,7 +133,8 @@ def test_order_experiment_smoke(tmp_path, capsys):
     raw = {
         "experiment": "ORDER",
         "schemes": ["strang"],
-        "matrix": {"class": "SYM_SIMPLE", "seed": 0},
+        "matrix": {"class": "SYM_SIMPLE"},
+        "seed": 0,
         "h_values": list(np.geomspace(0.05, 0.4, 6)),
     }
     assert cli.run(raw, out_dir=str(tmp_path)) == 0
@@ -154,8 +149,7 @@ def test_conservation_smoke_with_comparator(tmp_path, capsys):
         "schemes": ["S31"],
         "grid": {"n": 64},
         "h_values": [0.05],
-        "n_steps": 50,
-        "include_comparator": True,
+        "t_final": 2.5,
     }
     assert cli.run(raw, out_dir=str(tmp_path)) == 0
     assert (tmp_path / "conservation_S31.csv").exists()
@@ -175,9 +169,8 @@ def test_conservation_records_raised_sample_every(tmp_path, capsys,
         "schemes": ["S31"],
         "grid": {"n": 64},
         "h_values": [0.05],
-        "n_steps": 6000,
+        "t_final": 300.0,
         "sample_every": sample_every,
-        "include_comparator": False,
     }
     assert cli.run(raw, out_dir=str(tmp_path)) == 0
     lines = (tmp_path / "conservation_S31.csv").read_text().splitlines()
@@ -197,8 +190,7 @@ def test_conservation_records_an_aborted_run(tmp_path, capsys):
         "schemes": ["strang"],
         "grid": {"n": 64},
         "h_values": [1.3],
-        "n_steps": 100,
-        "include_comparator": True,
+        "t_final": 130.0,
     }
     assert cli.run(raw, out_dir=str(tmp_path)) == 0
     lines = _conservation_lines(tmp_path, "pal2_b0.25_0.25")
@@ -218,8 +210,7 @@ def test_conservation_aborted_before_two_samples(tmp_path, capsys):
         "schemes": ["NB5s4"],
         "grid": {"n": 64},
         "h_values": [50.0],
-        "n_steps": 10,
-        "include_comparator": False,
+        "t_final": 500.0,
     }
     assert cli.run(raw, out_dir=str(tmp_path)) == 0
     lines = _conservation_lines(tmp_path, "NB5s4")
@@ -346,7 +337,7 @@ def test_main_unreadable_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("raw, field", [
     (conservation(h_values=[0.05, 0.2]), "h_values"),
-    (conservation(t_final=0.5), "t_final"),
+    (conservation(n_steps=10), "n_steps"),
     (conservation(threshold=1e-8), "threshold"),
     (conservation(matrix={"class": "SYM_SIMPLE"}), "matrix"),
     (conservation(seed=3), "seed"),
@@ -356,22 +347,32 @@ def test_main_unreadable_config(tmp_path, capsys):
     (cfg(include_comparator=False), "include_comparator"),
     (cfg(h_values=[0.1, 1.0], h_range={"min": 0.1, "max": 1.0, "points": 4}),
      "h_range"),
-    (cfg(seed=3, matrix={"class": "SYM_SIMPLE", "seed": 4}), "matrix.seed"),
+    (cfg(seed=3, matrix={"class": "SYM_SIMPLE", "seed": 4}), "matrix fields: ['seed']"),
     ({"experiment": "ORDER", "schemes": ["strang"], "grid": {"n": 64},
       "matrix": {"class": "SYM_SIMPLE"}}, "matrix"),
     ({"experiment": "RKN_CHECK", "grid": {"n": 64}, "schemes": ["S31"]}, "schemes"),
     (cfg(matrix={"class": "SYM_SIMPLE", "multiplicities": [5, 5]}), "multiplicities"),
     (conservation(include_comparator="no"), "include_comparator"),
     (cfg(matrix={"class": "SYM_SIMPLE", "multiplicities": []}), "multiplicities"),
+    (cfg(h_range={"min": 0.1, "max": 1.0, "points": 4}), "h_range"),
+    ({"experiment": "CONSERVATION", "n_steps": 20}, "n_steps"),
+    (cfg(matrix={"class": "SYM_SIMPLE", "seed": 4}), "matrix fields: ['seed']"),
+    (cfg(output="artifacts"), "output"),
+    (cfg(threshold=1e-8), "threshold"),
+    (conservation(include_comparator=True), "include_comparator"),
 ], ids=["conservation_two_h", "n_steps_and_t_final", "conservation_threshold",
         "conservation_matrix", "conservation_seed", "dh_sweep_grid",
         "dh_sweep_t_final", "dh_sweep_sample_every", "dh_sweep_comparator",
         "h_values_and_h_range", "seed_and_matrix_seed", "order_grid_and_matrix",
         "rkn_check_schemes", "multiplicities_on_simple_class",
-        "comparator_not_a_bool", "empty_multiplicities_on_simple_class"])
+        "comparator_not_a_bool", "empty_multiplicities_on_simple_class",
+        "h_range", "n_steps", "matrix_seed", "output", "threshold",
+        "include_comparator"])
 def test_field_that_would_be_ignored_is_refused(tmp_path, capsys, raw, field):
-    """Each config sets a field its experiment would not read, or would
-    override with another; none of them runs."""
+    """Each config sets a field its experiment does not read; none of them
+    runs.  The last six set a field that was once a second spelling of
+    another (``h_range``, ``n_steps``, ``matrix.seed``, ``output``) or a
+    value no caller changed (``threshold``, ``include_comparator``)."""
     _refused(tmp_path, capsys, cli.run(raw, out_dir=str(tmp_path)), field)
 
 
@@ -380,15 +381,29 @@ def test_main_refuses_a_seed_conservation_does_not_read(tmp_path, capsys):
              cli.main(["conservation", "--seed", "3", "--out", str(tmp_path)]), "seed")
 
 
+@pytest.mark.parametrize("raw", [cfg(seed=3), cfg(matrix={"seed": 3})],
+                         ids=["seed", "matrix_seed"])
+def test_main_refuses_seed_on_a_config_that_sets_it(tmp_path, capsys, raw):
+    """``--seed`` sets ``seed``; it replaces no value the config gives."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    status = cli.main(["dh_sweep", "--config", str(config), "--seed", "7",
+                       "--out", str(out)])
+    err = json.loads(capsys.readouterr().err)
+    assert status == 2 and err["error"] == "invalid config" and "seed" in err["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("raw, words", [
     (cfg(matrix=5), ["matrix", "object"]),
-    (cfg(h_range=5), ["h_range", "object"]),
+    (cfg(h_range=5), ["h_range", "unknown"]),
     (cfg(schemes="S31"), ["schemes", "list"]),
     (cfg(schemes=["S31", "S4", "S31"]), ["schemes", "distinct"]),
     (cfg(seed=2.7), ["seed"]),
     (cfg(seed=True), ["seed"]),
     (cfg(matrix={"class": "SYM_SIMPLE", "n": 4.9}), ["matrix.n"]),
-    (cfg(h_range={"min": 0.1, "max": 1.0, "points": 2.9}), ["h_range.points"]),
+    (cfg(h_range={"min": 0.1, "max": 1.0, "points": 2.9}), ["h_range"]),
     (cfg(h_values=json.loads("[0.1, NaN]")), ["h_values"]),
     (cfg(h_values=json.loads("[0.1, Infinity]")), ["h_values"]),
     (cfg(matrix={"class": "MULTIPLE_EIGS_DIAG", "multiplicities": [5.5, 4.5]}),
@@ -409,7 +424,7 @@ def test_conservation_runs_on_the_table_defaults(tmp_path, capsys):
     """``unisplit conservation`` needs no scheme list: NB11s6 and the
     comparator at h = 100/909, here for 10 steps on a 64-point grid."""
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"grid": {"n": 64}, "n_steps": 10}))
+    config.write_text(json.dumps({"grid": {"n": 64}, "t_final": 1000.0 / 909.0}))
     out = tmp_path / "out"
     assert cli.main(["conservation", "--config", str(config), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
@@ -421,21 +436,19 @@ def test_conservation_runs_on_the_table_defaults(tmp_path, capsys):
 
 def test_resolve_gives_the_table_defaults():
     """A config resolves to the fields its form reads, each built once:
-    ``seed`` goes into ``matrix`` and CONSERVATION's ``t_final`` into
-    ``n_steps``."""
+    ``seed`` goes into ``matrix``."""
     c = cli._resolve({"experiment": "CONSERVATION"})
-    assert sorted(c) == ["experiment", "grid", "h_values", "include_comparator",
-                         "n_steps", "output", "sample_every", "schemes"]
+    assert sorted(c) == ["experiment", "grid", "h_values", "sample_every", "schemes",
+                         "t_final"]
     assert [s.name for s in c["schemes"]] == ["NB11s6"]
-    assert (c["h_values"], c["n_steps"]) == ([100.0 / 909.0], 90900)
-    assert (c["sample_every"], c["include_comparator"], c["output"]) == (1, True, ".")
+    assert (c["h_values"], c["t_final"], c["sample_every"]) == ([100.0 / 909.0], 1e4, 1)
     assert c["grid"][0] == spectral.SpectralGrid(n=256)
     d = cli._resolve(cfg(seed=7))
     assert d["matrix"] == experiments.MatrixClassSpec(
         experiments.MatrixClass.SYM_SIMPLE, n=10, seed=7)
-    assert sorted(d) == ["experiment", "h_values", "matrix", "output", "schemes",
-                         "threshold"]
+    assert sorted(d) == ["experiment", "h_values", "matrix", "schemes"]
     assert len(d["h_values"]) == 16
+    assert cli._resolve(cfg())["matrix"].seed == 0
 
 
 def test_run_builds_the_potential_once(tmp_path, capsys, monkeypatch):
@@ -460,8 +473,33 @@ def test_readme_table_names_the_fields_of_each_experiment():
             rows[cells[0].strip("`")] = set(re.findall(r"`([a-z_]+)`", cells[1]))
     expected = {name: set(fields) for name, fields in cli._FIELDS.items()}
     expected.update({"every experiment": set(cli._COMMON), "grid": set(cli._GRID),
-                     "matrix": set(cli._MATRIX), "h_range": set(cli._H_RANGE)})
+                     "matrix": set(cli._MATRIX)})
     assert rows == expected
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    """Every config the README's example block writes resolves, and its
+    commands run to exit 0, except CONSERVATION at its default length
+    (90 900 steps), which is only resolved."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples")[1].split("```sh\n")[1].split("```")[0]
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[0] == "echo":  # echo '<config>' > <path>
+            assert words[2] == ">", line
+            cli._resolve(json.loads(words[1]))
+            Path(words[3]).write_text(words[1])
+        elif words[:2] == ["unisplit", "conservation"]:
+            raw = (json.loads(Path(words[words.index("--config") + 1]).read_text())
+                   if "--config" in words else {"experiment": "CONSERVATION"})
+            cli._resolve(raw)
+        else:
+            assert words[0] == "unisplit" and cli.main(words[1:]) == 0, line
+            ran.append(words[1])
+    assert ran == ["schemes_list", "dh_sweep"]
+    capsys.readouterr()
 
 
 #: SCHEMES_LIST of the whole catalog: its artifact and stdout, line for line.
@@ -546,8 +584,8 @@ def test_schemes_list_and_validate_are_pinned(tmp_path, capsys):
      "6e7aee12d32d47c5"),
     (cfg(schemes=["S31", "strang"], h_values=[0.1, 1.0]),
      ["dh_sweep_S31.csv", "dh_sweep_strang.csv"], "a8ae1c0ddcdf7c5f"),
-    (conservation(include_comparator=True),
-     ["conservation_S31.csv", "conservation_pal2_b0.25_0.25.csv"], "5d4704416db7eba7"),
+    (conservation(),
+     ["conservation_S31.csv", "conservation_pal2_b0.25_0.25.csv"], "8d4fe24d428a6afd"),
     ({"experiment": "EFFICIENCY", "schemes": ["strang", "S31"], "grid": {"n": 64},
       "h_values": [0.1], "t_final": 0.5},
      ["efficiency_S31.csv", "efficiency_strang.csv"], "2b4876b83ef71bca"),
@@ -634,7 +672,7 @@ SMALL = {
     "SCHEMES_LIST": {"experiment": "SCHEMES_LIST", "schemes": ["S31"]},
     "VALIDATE": {"experiment": "VALIDATE", "schemes": ["S31"]},
     "DH_SWEEP": cfg(h_values=[0.1, 1.0]),
-    "CONSERVATION": conservation(include_comparator=True),
+    "CONSERVATION": conservation(),
     "EFFICIENCY": {"experiment": "EFFICIENCY", "schemes": ["strang"], "grid": {"n": 64},
                    "h_values": [0.1], "t_final": 0.5},
     "ORDER": {"experiment": "ORDER", "schemes": ["strang"],
@@ -660,10 +698,8 @@ class _Reads(dict):
 @pytest.mark.parametrize("form", list(cli._FIELDS))
 def test_every_resolved_field_is_read(tmp_path, capsys, monkeypatch, form):
     """The resolved config holds the fields of ``_COMMON`` and of its form,
-    none of them None, and the run reads each one (``output`` too, as no
-    ``out_dir`` is given).  ``seed`` and ``h_range`` are folded into
-    ``matrix`` and ``h_values``, and CONSERVATION's ``t_final`` into
-    ``n_steps``: a flag accepted and then ignored fails here."""
+    none of them None, and the run reads each one.  ``seed`` is folded into
+    ``matrix``: a flag accepted and then ignored fails here."""
     resolved, resolve = [], cli._resolve
 
     def recording(raw):
@@ -671,11 +707,9 @@ def test_every_resolved_field_is_read(tmp_path, capsys, monkeypatch, form):
         return resolved[-1]
 
     monkeypatch.setattr(cli, "_resolve", recording)
-    assert cli.run({**SMALL[form], "output": str(tmp_path)}) == 0
+    assert cli.run(SMALL[form], out_dir=str(tmp_path)) == 0
     (c,) = resolved
-    expected = (set(cli._COMMON) | set(cli._FIELDS[form])) - {"seed", "h_range"}
-    if form == "CONSERVATION":
-        expected -= {"t_final"}
+    expected = (set(cli._COMMON) | set(cli._FIELDS[form])) - {"seed"}
     assert set(c) == expected
     assert None not in c.values()
     assert c.read == expected
@@ -693,9 +727,9 @@ def test_every_resolved_field_is_read(tmp_path, capsys, monkeypatch, form):
     ({"experiment": "ORDER", "schemes": ["NB5s4"], "grid": {"n": 64}},
      ["order_NB5s4.csv"],
      "d55f97135e63a51ef2c4baa7e1887e94611de5681b9295e0f1b1082fd760087f"),
-    ({"experiment": "CONSERVATION", "grid": {"n": 64}, "n_steps": 20},
+    ({"experiment": "CONSERVATION", "grid": {"n": 64}, "t_final": 20 * (100 / 909)},
      ["conservation_NB11s6.csv", "conservation_pal2_b0.25_0.25.csv"],
-     "8c5d4d139bd2ae7f97da7af4d9a9e2103c53ae1a9110d42585f91e098b02294a"),
+     "2be1635b98a1a3ed5f195d7b05beb34549818be240888a55987bf4d96f45d571"),
     ({"experiment": "EFFICIENCY", "schemes": ["strang", "NB5s4"], "grid": {"n": 64},
       "h_values": [0.05, 0.1, 0.2], "t_final": 1.0},
      ["efficiency_NB5s4.csv", "efficiency_strang.csv"],

@@ -350,10 +350,13 @@ def test_memo_entries_are_read_only():
     bases, moves = split["bases"], split["moves"]
     assert split["H"].tobytes() == (a + b).astype(complex).tobytes()
     assert list(split["refs"]) == H_ORDER.tolist()
-    # to and from the identity are V^-1 and V; the transfers are new arrays
+    # the moves are kept as M^T: to and from the identity, the transposed
+    # views of V^-1 and V (complex here); the transfers are new arrays
     assert set(moves) == {(None, "A"), ("A", None), (None, "B"), ("B", None),
                           ("A", "B"), ("B", "A")}
-    assert moves[None, "A"] is bases["A"][2] and moves["B", None] is bases["B"][1]
+    assert moves[None, "A"].base is bases["A"][2]
+    assert moves["B", None].base is bases["B"][1]
+    assert all(m.dtype == complex for m in moves.values())
     arrays = record_arrays(split)
     assert len(arrays) == 3 + len(H_ORDER) + 6 + 6
     for arr in arrays:
@@ -420,6 +423,21 @@ def test_step_matrix_rejects_2d_h(sym_split):
     _, a, b = sym_split
     with pytest.raises(linalg.DimensionError):
         step_matrix(schemes.get_scheme("S31"), a, b, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("case", ["unguarded", "guarded"])
+def test_step_matrix_of_an_empty_grid_is_an_empty_stack(rng, case):
+    """An empty h gives a (0, n, n) stack on any valid split; a guarded one
+    (B nilpotent) raised numpy's ValueError.  An invalid split still raises."""
+    a, b = split_of("SYM_SIMPLE")
+    if case == "guarded":
+        b = nilpotent(rng, 10)
+    for name in ("strang", "S31", "NB11s6"):
+        stack = step_matrix(schemes.get_scheme(name), a, b, np.array([]))
+        assert stack.shape == (0, 10, 10) and stack.dtype == complex
+    bad_a, bad_b, error, message = invalid_split("nan entry", a, b)
+    with pytest.raises(error, match=message):
+        step_matrix(schemes.get_scheme("S31"), bad_a, bad_b, np.array([]))
 
 
 @settings(max_examples=25, deadline=None)
