@@ -491,10 +491,9 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
             assert words[2] == ">", line
             cli._resolve(json.loads(words[1]))
             Path(words[3]).write_text(words[1])
-        elif words[:2] == ["unisplit", "conservation"]:
-            raw = (json.loads(Path(words[words.index("--config") + 1]).read_text())
-                   if "--config" in words else {"experiment": "CONSERVATION"})
-            cli._resolve(raw)
+        elif words[:2] == ["unisplit", "conservation"]:  # the default config
+            assert "--config" not in words, line
+            cli._resolve({"experiment": "CONSERVATION"})
         else:
             assert words[0] == "unisplit" and cli.main(words[1:]) == 0, line
             ran.append(words[1])
