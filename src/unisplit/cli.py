@@ -32,7 +32,7 @@ def _geomspace(lo: float, hi: float, points: int) -> list[float]:
 _SCHEME_NAMES = schemes.catalog_names()
 _COMMON = {"experiment": None}
 _GRID = {"n": 256, "x_min": -8.0, "x_max": 8.0, "alpha": 1.0, "lam_prod": 10.0}
-_MATRIX = {"class": "SYM_SIMPLE", "n": 10, "multiplicities": []}
+_MATRIX = {"class": "SYM_SIMPLE", "n": 10, "multiplicities": None}
 
 #: Every field each experiment reads besides those of ``_COMMON``, with its
 #: default; ``None`` marks a field that must be given.  ORDER reads a matrix
@@ -114,13 +114,12 @@ def _matrix(given, seed) -> experiments.MatrixClassSpec:
     name, mult = m["class"], m["multiplicities"]
     if name not in [c.name for c in experiments.MatrixClass]:
         raise ConfigError(f"unknown matrix class {name!r}")
-    if "multiplicities" in given and not name.startswith("MULTIPLE_EIGS"):
-        raise ConfigError(f"matrix class {name} reads no multiplicities")
-    if not isinstance(mult, list):
+    if "multiplicities" in given and not isinstance(mult, list):
         raise ConfigError(f"matrix.multiplicities must be a list, got {mult!r}")
     return _build("matrix", experiments.MatrixClassSpec, experiments.MatrixClass[name],
                   _integer("matrix.n", m["n"]),
                   _integer("seed", seed, 0, 2**64 - 1),
+                  None if mult is None else
                   tuple(_integer("matrix.multiplicities", k) for k in mult))
 
 

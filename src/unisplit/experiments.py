@@ -49,34 +49,33 @@ class MatrixClass(enum.Enum):
 
 @dataclass(frozen=True)
 class MatrixClassSpec:
+    """Only the MULTIPLE_EIGS classes read multiplicities: (n//2, n - n//2) if None."""
+
     matrix_class: MatrixClass
     n: int = 10
     seed: int = 0
-    multiplicities: tuple[int, ...] = ()
+    multiplicities: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
+        mult = self.multiplicities
         if not self.matrix_class.name.startswith("MULTIPLE_EIGS"):
-            if self.multiplicities:
+            if mult is not None:
                 raise ValueError(f"matrix class {self.matrix_class.name} reads no "
-                                 f"multiplicities, got {self.multiplicities}")
+                                 f"multiplicities, got {mult}")
             return
-        mult = tuple(self.multiplicities or (self.n // 2, self.n - self.n // 2))
+        mult = tuple((self.n // 2, self.n - self.n // 2) if mult is None else mult)
         object.__setattr__(self, "multiplicities", mult)
-        if min(mult) < 1:
-            raise ValueError(f"multiplicities {mult} must all be at least 1")
         if sum(mult) != self.n:
             raise ValueError(f"multiplicities {mult} do not sum to n={self.n}")
+        if min(mult) < 1:
+            raise ValueError(f"multiplicities {mult} must all be at least 1")
 
 
 def _rng(spec: MatrixClassSpec, substream: int) -> np.random.Generator:
     key = np.array([spec.seed, substream], dtype=np.uint64)  # exact up to 2**64 - 1
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _uniform(spec: MatrixClassSpec, substream: int) -> np.ndarray:
-    return _rng(spec, substream).uniform(0.0, 1.0, size=(spec.n, spec.n))
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -93,52 +92,39 @@ def _distinct_values(rng: np.random.Generator, n: int) -> np.ndarray | None:
 def generate(spec: MatrixClassSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H, A, B) real matrices with H = A + B exactly, per the class recipe.
 
-    Specs that happen to draw a near-degenerate "simple" spectrum (gap below
-    ``EIGENVALUE_GAP``) regenerate from the next substream.
+    SYM_SIMPLE, SYM_SIMPLE_NONSYM_SPLIT and ARBITRARY draw H and A uniform
+    from substreams 0 and 1.  The other classes draw H from a spectrum, and
+    a draw whose distinct eigenvalues come closer than ``EIGENVALUE_GAP`` (or,
+    for REAL_SIMPLE_EIGS, whose eigenvector matrix is ill-conditioned) is
+    redrawn from the next substream.
     """
-    cls = spec.matrix_class
-    if cls is MatrixClass.SYM_SIMPLE:
-        h = _sym(_uniform(spec, 0))
-        a = _sym(_uniform(spec, 1))
+    cls, n, mc = spec.matrix_class, spec.n, MatrixClass
+    if cls in (mc.SYM_SIMPLE, mc.SYM_SIMPLE_NONSYM_SPLIT, mc.ARBITRARY):
+        h, a = (_rng(spec, k).uniform(0.0, 1.0, size=(n, n)) for k in (0, 1))
+        h = h if cls is mc.ARBITRARY else _sym(h)
+        a = _sym(a) if cls is mc.SYM_SIMPLE else a
         return h, a, h - a
-    if cls is MatrixClass.SYM_SIMPLE_NONSYM_SPLIT:
-        h = _sym(_uniform(spec, 0))
-        a = _uniform(spec, 1)
-        return h, a, h - a
-    if cls is MatrixClass.REAL_SIMPLE_EIGS:
-        for attempt in range(64):
-            rng = _rng(spec, 10 + attempt)
-            vals = _distinct_values(rng, spec.n)
-            if vals is None:
-                continue
-            p = rng.uniform(0.0, 1.0, size=(spec.n, spec.n)) + np.eye(spec.n)
+    if cls not in (mc.REAL_SIMPLE_EIGS, mc.MULTIPLE_EIGS_DIAG,
+                   mc.MULTIPLE_EIGS_NONSYM_SPLIT):
+        raise ValueError(f"unknown matrix class {cls}")
+    mult = spec.multiplicities or (1,) * n  # REAL_SIMPLE_EIGS: n simple eigenvalues
+    for attempt in range(64):
+        rng = _rng(spec, 10 + attempt)
+        vals = _distinct_values(rng, len(mult))
+        if vals is None:
+            continue
+        if cls is mc.REAL_SIMPLE_EIGS:
+            p = rng.uniform(0.0, 1.0, size=(n, n)) + np.eye(n)
             if np.linalg.cond(p) > 1e4:
                 continue
             h = p @ np.diag(vals) @ np.linalg.inv(p)
-            a = rng.uniform(0.0, 1.0, size=(spec.n, spec.n))
-            return h, a, h - a
-        raise linalg.NumericalError("could not draw a well-conditioned spectrum")
-    if cls is MatrixClass.ARBITRARY:
-        h = _uniform(spec, 0)
-        a = _uniform(spec, 1)
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            h = q @ np.diag(np.repeat(vals, mult)) @ q.T
+        a = rng.uniform(0.0, 1.0, size=(n, n))
+        a = _sym(a) if cls is mc.MULTIPLE_EIGS_DIAG else a
         return h, a, h - a
-    if cls in (MatrixClass.MULTIPLE_EIGS_DIAG,
-               MatrixClass.MULTIPLE_EIGS_NONSYM_SPLIT):
-        for attempt in range(64):
-            rng = _rng(spec, 10 + attempt)
-            distinct = _distinct_values(rng, len(spec.multiplicities))
-            if distinct is None:
-                continue
-            vals = np.repeat(distinct, spec.multiplicities)
-            q, _ = np.linalg.qr(rng.standard_normal((spec.n, spec.n)))
-            h = q @ np.diag(vals) @ q.T
-            if cls is MatrixClass.MULTIPLE_EIGS_DIAG:
-                a = _sym(rng.uniform(0.0, 1.0, size=(spec.n, spec.n)))
-            else:
-                a = rng.uniform(0.0, 1.0, size=(spec.n, spec.n))
-            return h, a, h - a
-        raise linalg.NumericalError("could not draw distinct repeated eigenvalues")
-    raise ValueError(f"unknown matrix class {cls}")
+    raise linalg.NumericalError(f"could not draw a {cls.name} spectrum in 64 attempts")
 
 
 @dataclass

@@ -163,7 +163,8 @@ def reversibility_report(
     ``sc3_residual`` = ||conj(S_h)^T - S_{-h}||_F (meaningful when A and B are
     real symmetric; reported unconditionally as a diagnostic).
     """
-    s_h, s_back = step_matrix(scheme, a, b, np.array([h, -h]))
+    hs = np.array([h, -h]).astype(float, casting="same_kind")
+    s_h, s_back = step_matrix(scheme, a, b, hs)
     sc2 = float(np.linalg.norm(s_h.conj() @ s_h - np.eye(s_h.shape[0])))
     sc3 = float(np.linalg.norm(s_h.conj().T - s_back))
     return {"sc2_residual": sc2, "sc3_residual": sc3}
@@ -187,8 +188,8 @@ _FIT_WINDOW = (1e-12, 1e-1)
 def fit_loglog(h_values, errors) -> OrderFit:
     """Fit log(error) against log(h) over the points with error inside
     `_FIT_WINDOW`; the others are reported in ``excluded``."""
-    h_arr = np.asarray(h_values, dtype=float)
-    e_arr = np.asarray(errors, dtype=float)
+    h_arr = np.asarray(h_values).astype(float, casting="same_kind")
+    e_arr = np.asarray(errors).astype(float, casting="same_kind")
     err_min, err_max = _FIT_WINDOW
     keep = (e_arr >= err_min) & (e_arr <= err_max)
     if keep.sum() < 2:
@@ -214,7 +215,7 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
     The references expm(i h H) are kept in the split's record, one per h, so
     a sweep of schemes over one split builds each of them once.
     """
-    split, h_arr = _split(a, b), np.asarray(h_grid, dtype=float)
+    split, h_arr = _split(a, b), np.asarray(h_grid).astype(float, casting="same_kind")
     refs, hs = split["refs"], h_arr.reshape(-1).tolist()
     for h in hs:
         if h not in refs:
@@ -228,18 +229,18 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
 def eigenphase_error(scheme: SplittingScheme, a, b, h) -> float | np.ndarray:
     """Max distance from the eigenvalues of S_h to the exact phases e^{i h lam}.
 
-    ``h`` is a scalar, giving a float, or a 1-D array, giving an array of one
-    error per entry; an entry h = 0 gives 0.  A, B and H = A + B are
-    validated and diagonalised once for the whole array, whatever h is, so a
-    grid costs one `step_matrix` and one `eig_general` call.
+    ``h`` is a real scalar, giving a float, or a real 1-D array, giving an
+    array of one error per entry; an entry h = 0 gives 0.  A, B and H = A + B
+    are validated and diagonalised once for the whole array, whatever h is,
+    so a grid costs one `step_matrix` and one `eig_general` call.
 
-    H = A + B must be real symmetric.  Eigenvalues are paired greedily to the
-    nearest exact phase; a pairing-ambiguity warning is issued via
-    ``warnings``, once for each h, when two exact phases fall within twice the
-    pairing distance (valid only for h small enough that phase gaps dominate
-    the method error).
+    H = A + B must be real symmetric.  Each eigenvalue of S_h is matched to
+    its nearest exact phase, so two eigenvalues may match the same phase (the
+    matching is not one-to-one); a RuntimeWarning is issued, once for each h,
+    when a second exact phase lies within twice the matched distance (valid
+    only for h small enough that phase gaps dominate the method error).
     """
-    h_arr = np.asarray(h, dtype=float)
+    h_arr = np.asarray(h).astype(float, casting="same_kind")
     if h_arr.ndim > 1:
         raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
     hs = h_arr.reshape(-1)

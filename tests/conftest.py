@@ -58,14 +58,18 @@ _acceptance: list[dict] = []
 def pytest_runtest_logreport(report):
     """Collect the acceptance lines a test printed, from its captured stdout
     (empty under ``-s``, which turns capturing off), each with the duration
-    of the test's call phase in seconds (its fixtures' setup not included)."""
+    of the test's call phase in seconds (its fixtures' setup not included)
+    and ``numbers``, the named values the test recorded for the line's tag
+    (its user property ``ACCEPTANCE <tag>``)."""
     if report.when != "call":
         return
+    props = dict(report.user_properties)
     for line in report.capstdout.splitlines():
         m = ACCEPTANCE_LINE.fullmatch(line)
         if m:
             _acceptance.append({"test": report.nodeid, "tag": m[1], "result": m[2],
-                                "detail": m[3], "duration_s": report.duration})
+                                "detail": m[3], "duration_s": report.duration,
+                                "numbers": props.get(f"ACCEPTANCE {m[1]}", {})})
 
 
 def pytest_sessionfinish(session):

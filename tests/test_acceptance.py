@@ -24,9 +24,16 @@ import pytest
 from unisplit import experiments, propagator, schemes, spectral
 
 
-def report(tag: str, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} — {detail}")
-    assert ok, f"{tag}: {detail}"
+@pytest.fixture
+def report(record_property):
+    """report(tag, ok, detail, numbers): print the ACCEPTANCE line and keep
+    ``numbers``, the values the detail prints, each under a name, as the
+    test's user property ``ACCEPTANCE <tag>`` (``conftest`` stores them)."""
+    def report(tag: str, ok: bool, detail: str, numbers: dict) -> None:
+        record_property(f"ACCEPTANCE {tag}", numbers)
+        print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} — {detail}")
+        assert ok, f"{tag}: {detail}"
+    return report
 
 
 def sym_pair(seed=0, cls="SYM_SIMPLE", **kw):
@@ -45,16 +52,16 @@ TABLE_DELTAS = {
 RKN_SCHEMES = tuple(s.name for s in schemes.catalog() if s.rkn)
 
 
-def test_criterion_01_coefficient_norms():
+def test_criterion_01_coefficient_norms(report):
     worst = 0.0
     for name, expected in TABLE_DELTAS.items():
         da, db = schemes.delta_norms(schemes.get_scheme(name))
         worst = max(worst, abs(da - 1.0), abs(db - expected))
     report("1 coefficient cross-check", worst <= 5e-4,
-           f"max deviation {worst:.2e} (tol 5e-4)")
+           f"max deviation {worst:.2e} (tol 5e-4)", {"max_deviation": worst})
 
 
-def test_criterion_02_symmetry_and_consistency():
+def test_criterion_02_symmetry_and_consistency(report):
     sym_res, sum_res = 0.0, 0.0
     for s in schemes.catalog():
         rev = s.factors[::-1]
@@ -63,10 +70,11 @@ def test_criterion_02_symmetry_and_consistency():
         sum_res = max(sum_res, abs(s.a_sum - 1.0), abs(s.b_sum - 1.0))
     report("2 symmetry/consistency", sym_res <= 1e-14 and sum_res <= 1e-12,
            f"reverse-conjugate residual {sym_res:.2e} (tol 1e-14), "
-           f"consistency residual {sum_res:.2e} (tol 1e-12)")
+           f"consistency residual {sum_res:.2e} (tol 1e-12)",
+           {"reverse_conjugate_residual": sym_res, "consistency_residual": sum_res})
 
 
-def test_criterion_03_reversibility_identities():
+def test_criterion_03_reversibility_identities(report):
     _, a, b = sym_pair(seed=0)
     worst = 0.0
     for s in schemes.catalog():
@@ -74,7 +82,7 @@ def test_criterion_03_reversibility_identities():
             rep = propagator.reversibility_report(s, a, b, h)
             worst = max(worst, rep["sc2_residual"], rep["sc3_residual"])
     report("3 reversibility identities", worst <= 1e-10,
-           f"worst residual {worst:.2e} (tol 1e-10)")
+           f"worst residual {worst:.2e} (tol 1e-10)", {"worst_residual": worst})
 
 
 def _complex_catalog():
@@ -82,7 +90,7 @@ def _complex_catalog():
             if any(abs(f.coeff.imag) > 1e-15 for f in s.factors)]
 
 
-def test_criterion_04_unit_modulus_thresholds():
+def test_criterion_04_unit_modulus_thresholds(report):
     h_grid = np.geomspace(0.01, 10.0, 28)
     failures = []
     # simple-spectrum classes: threshold then blow-up, for every scheme whose
@@ -121,10 +129,10 @@ def test_criterion_04_unit_modulus_thresholds():
             failures.append(f"MULTIPLE_EIGS_NONSYM_SPLIT/{name}")
 
     report("4 unit-modulus thresholds", not failures,
-           f"violations: {failures or 'none'}")
+           f"violations: {failures or 'none'}", {"violations": len(failures)})
 
 
-def test_criterion_05a_matrix_orders():
+def test_criterion_05a_matrix_orders(report):
     _, a, b = sym_pair(seed=0)
     targets = {"S31": 4, "S4": 5, "B3s3": 4, "B5s4": 5, "B15s6": 7}
     h_grid = np.geomspace(0.05, 0.4, 8)
@@ -133,7 +141,8 @@ def test_criterion_05a_matrix_orders():
               for n in targets}
     worst = max(abs(slopes[n] - t) for n, t in targets.items())
     report("5a matrix local orders", worst <= 0.3,
-           ", ".join(f"{n} {slopes[n]:.2f}/{t}" for n, t in targets.items()))
+           ", ".join(f"{n} {slopes[n]:.2f}/{t}" for n, t in targets.items()),
+           {"slope": slopes})
 
 
 # one fit window per order class; a point whose error leaves [1e-12, 1e-1]
@@ -176,10 +185,10 @@ def _taylor_norms(scheme, a, b, k_max):
             for k in range(1, k_max + 1)]
 
 
-def test_criterion_05b_spectral_orders(pt256):
+def test_criterion_05b_spectral_orders(report, pt256):
     grid, v = pt256
     a, b = _rkn_split(RKN_SPLIT_SEED)
-    details, failures = [], []
+    details, failures, numbers = [], [], {}
     for name in RKN_SCHEMES:
         s = schemes.get_scheme(name)
         p = s.order
@@ -198,12 +207,17 @@ def test_criterion_05b_spectral_orders(pt256):
             f"{const[0]:.1e}@{fit.h_used[0]:.3f}..{const[-1]:.1e}@"
             f"{fit.h_used[-1]:.3f} |E{p + 1}| {lead:.1e} "
             f"max|E1..E{p}| {low:.1e}")
+        numbers[name] = {
+            "slope": fit.slope, "E_p1": lead, "max_E_k_le_p": low,
+            "h_first": fit.h_used[0], "err_over_h_p1_first": float(const[0]),
+            "h_last": fit.h_used[-1], "err_over_h_p1_last": float(const[-1])}
     report("5b spectral local orders", not failures,
            "; ".join(details) + f" (slope >= p+1-0.3, no excluded h, "
-           f"|E_p+1| >= 1e4 max|E_k<=p|; violations: {failures or 'none'})")
+           f"|E_p+1| >= 1e4 max|E_k<=p|; violations: {failures or 'none'})",
+           numbers)
 
 
-def test_criterion_05c_generic_split_degradation():
+def test_criterion_05c_generic_split_degradation(report):
     _, a, b = sym_pair(seed=0)
     h_grid = np.geomspace(0.01, 0.1, 8)
     slopes = {n: propagator.empirical_order(schemes.get_scheme(n), a, b,
@@ -211,10 +225,11 @@ def test_criterion_05c_generic_split_degradation():
               for n in RKN_SCHEMES}
     worst = max(abs(sl - 4.0) for sl in slopes.values())
     report("5c order-3 degradation", worst <= 0.3,
-           ", ".join(f"{n} {sl:.2f}/4" for n, sl in slopes.items()))
+           ", ".join(f"{n} {sl:.2f}/4" for n, sl in slopes.items()),
+           {"slope": slopes})
 
 
-def test_criterion_06_eigenphase_superconvergence():
+def test_criterion_06_eigenphase_superconvergence(report):
     _, a, b = sym_pair(seed=0)
     s31 = schemes.get_scheme("S31")
     h_grid = np.geomspace(0.05, 0.4, 8)
@@ -223,7 +238,8 @@ def test_criterion_06_eigenphase_superconvergence():
     local_slope = propagator.empirical_order(s31, a, b, h_grid).slope
     ok = abs(phase_slope - 5.0) <= 0.3 and abs(local_slope - 4.0) <= 0.3
     report("6 eigenphase superconvergence", ok,
-           f"eigenphase slope {phase_slope:.2f}/5.0, local {local_slope:.2f}/4.0")
+           f"eigenphase slope {phase_slope:.2f}/5.0, local {local_slope:.2f}/4.0",
+           {"eigenphase_slope": phase_slope, "local_slope": local_slope})
 
 
 H_CONSERVATION = 100.0 / 909.0
@@ -271,10 +287,12 @@ def _comparator_energy_drift():
     return experiments.drift_slope(series, "energy_err") * H_CONSERVATION
 
 
-def test_criterion_07a_conservation_smoke(nb11s6_run):
+def test_criterion_07a_conservation_smoke(report, nb11s6_run):
     stats = _conservation_stats(nb11s6_run, n_steps=9090, sample_every=10)
     pal_drift = _comparator_energy_drift()
     sc_drift = stats["energy_err"][0]
+    worst_sup = max(s for _, s in stats.values())
+    ratio = pal_drift / max(sc_drift, 1e-300)
     ok = (
         all(d <= 1e-12 and sup <= 1e-6 for d, sup in stats.values())
         and pal_drift > 0.0
@@ -283,20 +301,24 @@ def test_criterion_07a_conservation_smoke(nb11s6_run):
     report("7a long-time conservation (smoke)", ok,
            f"per-step drift mass {stats['mass_err'][0]:.2e} / energy "
            f"{stats['energy_err'][0]:.2e} (tol 1e-12), sup "
-           f"{max(s for _, s in stats.values()):.2e} (tol 1e-6); palindromic "
-           f"comparator drift {pal_drift:+.2e} ({pal_drift / max(sc_drift, 1e-300):.1e}x)")
+           f"{worst_sup:.2e} (tol 1e-6); palindromic "
+           f"comparator drift {pal_drift:+.2e} ({ratio:.1e}x)",
+           {"mass_drift": stats["mass_err"][0], "energy_drift": sc_drift,
+            "sup": worst_sup, "comparator_drift": pal_drift, "comparator_ratio": ratio})
 
 
-def test_criterion_07b_conservation_full(nb11s6_run):
+def test_criterion_07b_conservation_full(report, nb11s6_run):
     stats = _conservation_stats(nb11s6_run, n_steps=90900, sample_every=45)
     ok = all(d <= 1e-12 and sup <= 1e-6 for d, sup in stats.values())
+    worst_sup = max(s for _, s in stats.values())
     report("7b long-time conservation (full)", ok,
            f"per-step drift mass {stats['mass_err'][0]:.2e} / energy "
-           f"{stats['energy_err'][0]:.2e} (tol 1e-12), sup "
-           f"{max(s for _, s in stats.values()):.2e} (tol 1e-6)")
+           f"{stats['energy_err'][0]:.2e} (tol 1e-12), sup {worst_sup:.2e} (tol 1e-6)",
+           {"mass_drift": stats["mass_err"][0], "energy_drift": stats["energy_err"][0],
+            "sup": worst_sup})
 
 
-def test_criterion_08_rkn_residual(pt256, grid32):
+def test_criterion_08_rkn_residual(report, pt256, grid32):
     grid, v = pt256
     u = spectral.initial_gaussian(grid)
     fine = spectral.rkn_residual(grid, v, u) / grid.norm(u)
@@ -305,10 +327,11 @@ def test_criterion_08_rkn_residual(pt256, grid32):
               / grid32.norm(u32))
     ok = fine <= 1e-10 and coarse >= 1e-4
     report("8 nested-commutator residual", ok,
-           f"N=256: {fine:.2e} (tol 1e-10), N=32: {coarse:.2e} (floor 1e-4)")
+           f"N=256: {fine:.2e} (tol 1e-10), N=32: {coarse:.2e} (floor 1e-4)",
+           {"residual_n256": fine, "residual_n32": coarse})
 
 
-def test_criterion_09_oracle_equivalence(pt64):
+def test_criterion_09_oracle_equivalence(report, pt64):
     grid, v, a, b, _ = pt64
     rng = np.random.default_rng(7)
     u0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -319,10 +342,11 @@ def test_criterion_09_oracle_equivalence(pt64):
         dense = propagator.step_matrix(s, a, b, 0.1) @ u0
         worst = max(worst, grid.norm(free - dense) / grid.norm(u0))
     report("9 matrix-free vs dense equivalence", worst <= 1e-10,
-           f"worst relative deviation {worst:.2e} (tol 1e-10)")
+           f"worst relative deviation {worst:.2e} (tol 1e-10)",
+           {"worst_relative_deviation": worst})
 
 
-def test_criterion_10_efficiency_at_equal_cost(pt256):
+def test_criterion_10_efficiency_at_equal_cost(report, pt256):
     """At order 4 and matched FFT budget the reversible complex scheme must
     beat the real triple-jump composition on max energy error."""
     grid, v = pt256
@@ -337,19 +361,25 @@ def test_criterion_10_efficiency_at_equal_cost(pt256):
     ok = fft_new == fft_ref and err_new < err_ref
     report("10 efficiency at equal FFT count", ok,
            f"NB5s4 {err_new:.2e} vs triple_jump4 {err_ref:.2e} "
-           f"at {fft_new} vs {fft_ref} FFTs")
+           f"at {fft_new} vs {fft_ref} FFTs",
+           {"NB5s4_max_energy_err": err_new, "triple_jump4_max_energy_err": err_ref,
+            "NB5s4_ffts": fft_new, "triple_jump4_ffts": fft_ref})
 
 
 def test_acceptance_record_keeps_each_line_with_its_call_duration(monkeypatch):
     """``conftest`` keeps the ACCEPTANCE lines of a call phase, each with
-    that phase's duration, and skips other lines and phases."""
+    that phase's duration and the numbers its test recorded under the
+    line's tag, and skips other lines, properties and phases."""
     import conftest
 
     monkeypatch.setattr(conftest, "_acceptance", [])
     out = "noise\nACCEPTANCE 4 unit-modulus thresholds: PASS — all 14 schemes\n"
+    props = [("other", 1), ("ACCEPTANCE 4 unit-modulus thresholds", {"violations": 0})]
     for when in ("setup", "call", "teardown"):
         conftest.pytest_runtest_logreport(SimpleNamespace(
-            when=when, nodeid="tests/x.py::t", duration=1.25, capstdout=out))
+            when=when, nodeid="tests/x.py::t", duration=1.25, capstdout=out,
+            user_properties=props))
     assert conftest._acceptance == [
         {"test": "tests/x.py::t", "tag": "4 unit-modulus thresholds",
-         "result": "PASS", "detail": "all 14 schemes", "duration_s": 1.25}]
+         "result": "PASS", "detail": "all 14 schemes", "duration_s": 1.25,
+         "numbers": {"violations": 0}}]

@@ -408,12 +408,19 @@ def test_main_refuses_seed_on_a_config_that_sets_it(tmp_path, capsys, raw):
     (cfg(h_values=json.loads("[0.1, Infinity]")), ["h_values"]),
     (cfg(matrix={"class": "MULTIPLE_EIGS_DIAG", "multiplicities": [5.5, 4.5]}),
      ["multiplicities"]),
+    (cfg(matrix={"class": "MULTIPLE_EIGS_DIAG", "multiplicities": []}),
+     ["invalid matrix", "multiplicities () do not sum to n=10"]),
+    (cfg(matrix={"class": "MULTIPLE_EIGS_DIAG", "multiplicities": None}),
+     ["multiplicities", "list"]),
+    (cfg(matrix={"class": "SYM_SIMPLE", "multiplicities": []}),
+     ["invalid matrix", "SYM_SIMPLE reads no multiplicities"]),
     (cfg(threshold=json.loads("NaN")), ["threshold"]),
     (conservation(sample_every=0), ["sample_every"]),
     (conservation(sample_every=-2), ["sample_every"]),
 ], ids=["matrix_not_object", "h_range_not_object", "schemes_string", "schemes_repeated",
         "seed_float", "seed_bool", "matrix_n_float", "h_range_points_float",
-        "h_nan", "h_infinity", "multiplicities_float", "threshold_nan",
+        "h_nan", "h_infinity", "multiplicities_float", "multiplicities_empty",
+        "multiplicities_null", "multiplicities_empty_on_simple_class", "threshold_nan",
         "sample_every_zero", "sample_every_negative"])
 def test_value_of_the_wrong_kind_is_refused(tmp_path, capsys, raw, words):
     """No traceback, no truncation and no silent raise to 1."""
@@ -449,6 +456,8 @@ def test_resolve_gives_the_table_defaults():
     assert sorted(d) == ["experiment", "h_values", "matrix", "schemes"]
     assert len(d["h_values"]) == 16
     assert cli._resolve(cfg())["matrix"].seed == 0
+    multiple = cli._resolve(cfg(matrix={"class": "MULTIPLE_EIGS_NONSYM_SPLIT", "n": 7}))
+    assert multiple["matrix"].multiplicities == (3, 4)
 
 
 def test_run_builds_the_potential_once(tmp_path, capsys, monkeypatch):

@@ -78,6 +78,8 @@ def test_multiplicities_must_sum_to_n():
     ("ARBITRARY", (10,), "reads no multiplicities"),
     ("MULTIPLE_EIGS_DIAG", (0, 10), "at least 1"),
     ("MULTIPLE_EIGS_NONSYM_SPLIT", (-2, 12), "at least 1"),
+    ("SYM_SIMPLE", (), "reads no multiplicities"),
+    ("MULTIPLE_EIGS_DIAG", (), "do not sum to n=10"),
 ])
 def test_multiplicities_that_would_be_ignored_or_are_below_one_are_refused(
         cls, mult, words):
@@ -103,6 +105,40 @@ def test_seeds_up_to_2_64_draw_distinct_matrices():
                 digest.update(m.tobytes())
     assert digest.hexdigest() == \
         "1a6a3bccbf92da9ab1603d40b1dd3101a293b4e17a5be06bc222b40869a70403"
+
+
+def test_every_class_keeps_the_bits_of_its_draws():
+    """One digest over all six classes at n in {2, 3, 5, 10, 17} and seeds
+    0-39; a MULTIPLE class also at multiplicities (1,)*n, (n,) and (1, n-1)."""
+    digest = hashlib.sha256()
+    for n in (2, 3, 5, 10, 17):
+        for cls in MatrixClass:
+            mults = [None]
+            if cls.name.startswith("MULTIPLE_EIGS"):
+                mults += [(1,) * n, (n,), (1, n - 1)]
+            for mult in mults:
+                kw = {} if mult is None else {"multiplicities": mult}
+                for seed in range(40):
+                    for m in generate(MatrixClassSpec(cls, n=n, seed=seed, **kw)):
+                        digest.update(m.tobytes())
+    assert digest.hexdigest() == \
+        "c058456ce1568535f67d5f075896e00811c741b5f79a1806b0628f6a8ade14d7"
+
+
+def test_redrawn_spectra_keep_their_bits(monkeypatch):
+    """A gap of 0.02 makes most draws of the redrawing classes start again
+    from the next substream; the matrices they settle on keep their bits."""
+    monkeypatch.setattr(ex, "EIGENVALUE_GAP", 0.02)
+    digest = hashlib.sha256()
+    for cls in ("REAL_SIMPLE_EIGS", "MULTIPLE_EIGS_DIAG", "MULTIPLE_EIGS_NONSYM_SPLIT"):
+        for n in (3, 10):
+            mult = {"multiplicities": (1,) * n} if cls.startswith("MULTIPLE") else {}
+            for seed in range(20):
+                for m in generate(MatrixClassSpec(MatrixClass[cls], n=n, seed=seed,
+                                                  **mult)):
+                    digest.update(m.tobytes())
+    assert digest.hexdigest() == \
+        "0c70e033c052a4730f49225798acb74cd6f6b7fa3a6fd13ffccb129d04c115bd"
 
 
 def test_generation_is_deterministic():

@@ -425,6 +425,28 @@ def test_step_matrix_rejects_2d_h(sym_split):
         step_matrix(schemes.get_scheme("S31"), a, b, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda s, a, b: eigenphase_error(s, a, b, np.array([0.1 + 0.1j, 0.2])),
+    lambda s, a, b: eigenphase_error(s, a, b, 0.1 + 0.1j),
+    lambda s, a, b: empirical_order(s, a, b, H_ORDER * (1.0 + 0.1j)),
+    lambda s, a, b: fit_loglog(H_ORDER * (1.0 + 0.1j), H_ORDER**4),
+    lambda s, a, b: fit_loglog(H_ORDER, H_ORDER**4 * (1.0 + 0.1j)),
+    lambda s, a, b: reversibility_report(s, a, b, 0.1 + 0.1j),
+    lambda s, a, b: reversibility_report(s, a, b, np.complex128(0.1 + 0.1j)),
+], ids=["eigenphase_error_array", "eigenphase_error_scalar", "empirical_order",
+        "fit_loglog_h", "fit_loglog_errors", "reversibility_report",
+        "reversibility_report_numpy_scalar"])
+def test_a_complex_h_is_refused_where_only_a_real_h_makes_sense(sym_split, call):
+    """``step_matrix`` takes a complex step (criterion 5b's Taylor check
+    uses it); the real-h diagnostics raise on one, also where warnings are
+    ignored, rather than drop its imaginary part with a ComplexWarning."""
+    _, a, b = sym_split
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TypeError, match="cast .*complex"):
+            call(schemes.get_scheme("S31"), a, b)
+
+
 @pytest.mark.parametrize("case", ["unguarded", "guarded"])
 def test_step_matrix_of_an_empty_grid_is_an_empty_stack(rng, case):
     """An empty h gives a (0, n, n) stack on any valid split; a guarded one
