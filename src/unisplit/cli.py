@@ -248,20 +248,25 @@ def _run_conservation(cfg: dict, cfg_hash: str) -> _Artifacts:
 def _run_efficiency(cfg: dict, cfg_hash: str) -> _Artifacts:
     grid, v = cfg["grid"]
     u0 = spectral.initial_gaussian(grid)
+    mass0 = grid.norm(u0) ** 2
     for s in cfg["schemes"]:
         series = experiments.DiagnosticSeries("h", ("fft_count", "max_energy_err"))
-        skipped = []
+        notes = []
         for h in sorted(cfg["h_values"]):
             run = experiments.conservation_run(s, grid, v, u0, h,
                                                max(1, round(cfg["t_final"] / h)))
             if "aborted" in run.meta:
-                # unstable cell: no data row, but the header records it
-                skipped.append(f"skipped h {h:.17g}: {run.meta['aborted']}")
+                # overflowed cell: no data row, but the header records it
+                notes.append(f"skipped h {h:.17g}: {run.meta['aborted']}")
                 continue
+            mass_err = run.column("mass_err").max()
+            if mass_err > mass0:  # blew up without overflowing: kept and recorded
+                notes.append(f"unstable h {h:.17g}: max mass error {mass_err:.17g} "
+                             f"exceeds the initial mass {mass0:.17g}")
             series.add(h, {"fft_count": run.column("fft_count")[-1],
                            "max_energy_err": run.column("energy_err").max()})
         yield f"efficiency_{s.name}.csv", _csv(
-            cfg_hash, [f"t_final {cfg['t_final']:.17g}", *skipped], series.to_csv())
+            cfg_hash, [f"t_final {cfg['t_final']:.17g}", *notes], series.to_csv())
         print(f"{s.name}: {len(series.rows)} efficiency points")
 
 

@@ -61,7 +61,13 @@ class FftCounter:
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Periodic equispaced grid with standard-DFT-ordered wavenumbers."""
+    """Periodic equispaced grid with standard-DFT-ordered wavenumbers.
+
+    ``==``, ``hash`` and ``repr`` read the fields alone.  The grid builds its
+    read-only arrays once: the nodes ``x``, the wavenumbers ``k`` = 2*pi*m/L
+    for m in {0,...,N/2-1, -N/2,...,-1} (the Nyquist mode keeps k = -pi*N/L;
+    k enters only through k^2), k^2/2 and the transforms' scale 1/sqrt(N).
+    """
 
     n: int = 256
     x_min: float = -8.0
@@ -73,8 +79,16 @@ class SpectralGrid:
         if self.x_max <= self.x_min:
             raise ValueError("empty interval")
         with np.errstate(over="ignore"):  # checked here, not warned
-            if not (math.isfinite(self.length) and np.isfinite(self.k**2 / 2.0).all()):
-                raise ValueError(f"grid length {self.length} or k^2/2 is not finite")
+            k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n) / self.length
+            half_k2 = k**2 / 2.0
+        if not (math.isfinite(self.length) and np.isfinite(half_k2).all()):
+            raise ValueError(f"grid length {self.length} or k^2/2 is not finite")
+        x = self.x_min + self.dx * np.arange(self.n)
+        scale = np.reciprocal(np.sqrt(self.n, dtype=np.float64))  # a read-only scalar
+        for a in (x, k, half_k2):
+            a.flags.writeable = False
+        for name, a in zip(("x", "k", "_half_k2", "_scale"), (x, k, half_k2, scale)):
+            object.__setattr__(self, name, a)
 
     @property
     def length(self) -> float:
@@ -84,20 +98,16 @@ class SpectralGrid:
     def dx(self) -> float:
         return self.length / self.n
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
-
-    @property
-    def k(self) -> np.ndarray:
-        # 2*pi*m/L for m in {0,...,N/2-1, -N/2,...,-1}; the Nyquist mode keeps
-        # k = -pi*N/L (sign immaterial, k enters only through k^2)
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n) / self.length
-
     def norm(self, u) -> float:
-        """Weighted discrete L2 norm sqrt(dx * sum |u|^2)."""
-        u = np.asarray(u)
-        return float(math.sqrt(self.dx * np.sum(np.abs(u) ** 2)))
+        """Weighted discrete L2 norm sqrt(dx * sum |u|^2); m * norm(u/m), with m
+        the peak |u_j|, where the sum of squares underflows or overflows."""
+        a = np.abs(np.asarray(u))
+        with np.errstate(over="ignore"):  # checked here, not warned
+            s = np.sum(a**2)
+        m = float(np.max(a, initial=0.0))
+        if not np.finfo(float).tiny <= s < math.inf and 0.0 < m < math.inf:
+            return m * self.norm(a / m)
+        return float(math.sqrt(self.dx * s))
 
 
 def _check_length(grid: SpectralGrid, u, stack: bool = False) -> np.ndarray:
@@ -108,12 +118,6 @@ def _check_length(grid: SpectralGrid, u, stack: bool = False) -> np.ndarray:
     return v
 
 
-@functools.cache
-def _ortho_scale(n: int) -> np.float64:
-    """1/sqrt(n), computed as ``np.fft`` computes its ``norm="ortho"`` factor."""
-    return np.reciprocal(np.sqrt(n, dtype=np.float64))
-
-
 def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
                out: np.ndarray | None) -> np.ndarray:
     v = np.asarray(u, dtype=complex)
@@ -122,11 +126,10 @@ def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
     if out is None:
         out = np.empty_like(v)
     elif out.shape != v.shape:
-        raise linalg.DimensionError(
-            f"out must have shape {v.shape}, got {out.shape}")
+        raise linalg.DimensionError(f"out must have shape {v.shape}, got {out.shape}")
     if counter is not None:
         counter.count += rows
-    return gufunc(v, _ortho_scale(grid.n), out=out)
+    return gufunc(v, grid._scale, out=out)
 
 
 def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
@@ -142,7 +145,7 @@ def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
     The transform calls the pocketfft gufunc that ``np.fft.fft`` itself ends
     in (numpy >= 2.0 implements ``np.fft`` as these gufuncs), with the same
     scale ``1/sqrt(N)`` that ``np.fft`` computes for ``norm="ortho"`` in both
-    directions, cached per N.  This skips the wrapper's per-call work (it
+    directions, kept by the grid.  This skips the wrapper's per-call work (it
     recomputes the scale and checks the axis, dtypes and shape each time),
     about half the cost of a 256-point transform; the kernel and its inputs
     are the same, and so are the bits.  The gufunc pads or truncates
@@ -193,17 +196,9 @@ def initial_gaussian(grid: SpectralGrid) -> np.ndarray:
     return u / norm
 
 
-@functools.lru_cache(maxsize=1)
-def _half_k2(grid: SpectralGrid) -> np.ndarray:
-    """k^2/2 on ``grid``, read-only; -k^2/2 is the Fourier symbol of A."""
-    half_k2 = grid.k**2 / 2.0
-    half_k2.flags.writeable = False
-    return half_k2
-
-
 def _a_action(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     """A u = idft(-k^2/2 * dft(u)); A is the minus kinetic matrix."""
-    return idft(grid, -_half_k2(grid) * dft(grid, u))
+    return idft(grid, -grid._half_k2 * dft(grid, u))
 
 
 @functools.lru_cache(maxsize=1)
@@ -227,7 +222,7 @@ def _factor_phases(
     key holds its values, not the identity of the caller's array.
     """
     v_pot = np.frombuffer(v_bytes, dtype=v_dtype).reshape(v_shape)
-    k2 = _half_k2(grid)
+    k2 = grid._half_k2
     built = {}
     for f in scheme.factors:
         if (f.op, f.coeff) not in built:

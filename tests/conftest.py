@@ -1,7 +1,5 @@
 """Shared fixtures: small random splits and spectral grids reused across files."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -50,32 +48,30 @@ def rng():
     return np.random.default_rng(12345)
 
 
-# "ACCEPTANCE <tag>: PASS|FAIL — <detail>", as test_acceptance.report prints it
-ACCEPTANCE_LINE = re.compile(r"ACCEPTANCE (.+?): (PASS|FAIL) — (.*)")
 _acceptance: list[dict] = []
 
 
 def pytest_runtest_logreport(report):
-    """Collect the acceptance lines a test printed, from its captured stdout
-    (empty under ``-s``, which turns capturing off), each with the duration
-    of the test's call phase in seconds (its fixtures' setup not included)
-    and ``numbers``, the named values the test recorded for the line's tag
-    (its user property ``ACCEPTANCE <tag>``)."""
+    """Collect the acceptance entries a test recorded in its call phase, each
+    its user property ``ACCEPTANCE <tag>`` (result, detail and ``numbers``,
+    the named values the detail prints), with the phase's duration in seconds
+    (its fixtures' setup not included).  User properties are kept under
+    ``-s`` too, where stdout is not captured."""
     if report.when != "call":
         return
-    props = dict(report.user_properties)
-    for line in report.capstdout.splitlines():
-        m = ACCEPTANCE_LINE.fullmatch(line)
-        if m:
-            _acceptance.append({"test": report.nodeid, "tag": m[1], "result": m[2],
-                                "detail": m[3], "duration_s": report.duration,
-                                "numbers": props.get(f"ACCEPTANCE {m[1]}", {})})
+    for name, entry in report.user_properties:
+        if name.startswith("ACCEPTANCE "):
+            _acceptance.append({"test": report.nodeid,
+                                "tag": name.removeprefix("ACCEPTANCE "),
+                                "result": entry["result"], "detail": entry["detail"],
+                                "duration_s": report.duration,
+                                "numbers": entry["numbers"]})
 
 
 def pytest_sessionfinish(session):
-    """Store the collected lines in pytest's cache, under the key
+    """Store the collected entries in pytest's cache, under the key
     ``unisplit/acceptance`` (``.pytest_cache/v/unisplit/acceptance``), when
-    the run printed any and the cache plugin is on."""
+    the run recorded any and the cache plugin is on."""
     cache = getattr(session.config, "cache", None)
     if _acceptance and cache is not None:
         cache.set("unisplit/acceptance", _acceptance)

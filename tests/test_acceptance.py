@@ -27,11 +27,14 @@ from unisplit import experiments, propagator, schemes, spectral
 @pytest.fixture
 def report(record_property):
     """report(tag, ok, detail, numbers): print the ACCEPTANCE line and keep
-    ``numbers``, the values the detail prints, each under a name, as the
-    test's user property ``ACCEPTANCE <tag>`` (``conftest`` stores them)."""
+    the result, the detail and ``numbers``, the values the detail prints,
+    each under a name, as the test's user property ``ACCEPTANCE <tag>``
+    (``conftest`` stores them)."""
     def report(tag: str, ok: bool, detail: str, numbers: dict) -> None:
-        record_property(f"ACCEPTANCE {tag}", numbers)
-        print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} — {detail}")
+        result = "PASS" if ok else "FAIL"
+        record_property(f"ACCEPTANCE {tag}",
+                        {"result": result, "detail": detail, "numbers": numbers})
+        print(f"ACCEPTANCE {tag}: {result} — {detail}")
         assert ok, f"{tag}: {detail}"
     return report
 
@@ -367,18 +370,18 @@ def test_criterion_10_efficiency_at_equal_cost(report, pt256):
 
 
 def test_acceptance_record_keeps_each_line_with_its_call_duration(monkeypatch):
-    """``conftest`` keeps the ACCEPTANCE lines of a call phase, each with
-    that phase's duration and the numbers its test recorded under the
-    line's tag, and skips other lines, properties and phases."""
+    """``conftest`` keeps the ACCEPTANCE entries a call phase recorded as
+    user properties, each with that phase's duration, and skips other
+    properties and phases; it reads no stdout, so ``-s`` runs keep them."""
     import conftest
 
     monkeypatch.setattr(conftest, "_acceptance", [])
-    out = "noise\nACCEPTANCE 4 unit-modulus thresholds: PASS — all 14 schemes\n"
-    props = [("other", 1), ("ACCEPTANCE 4 unit-modulus thresholds", {"violations": 0})]
+    props = [("other", 1), ("ACCEPTANCE 4 unit-modulus thresholds",
+                            {"result": "PASS", "detail": "all 14 schemes",
+                             "numbers": {"violations": 0}})]
     for when in ("setup", "call", "teardown"):
         conftest.pytest_runtest_logreport(SimpleNamespace(
-            when=when, nodeid="tests/x.py::t", duration=1.25, capstdout=out,
-            user_properties=props))
+            when=when, nodeid="tests/x.py::t", duration=1.25, user_properties=props))
     assert conftest._acceptance == [
         {"test": "tests/x.py::t", "tag": "4 unit-modulus thresholds",
          "result": "PASS", "detail": "all 14 schemes", "duration_s": 1.25,

@@ -278,6 +278,25 @@ def test_efficiency_records_skipped_cells(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("h, unstable", [(0.4, True), (0.111, False)])
+def test_efficiency_records_a_kept_cell_that_blew_up(tmp_path, capsys, h, unstable):
+    """NB5s4 at h = 0.4 lies above its h* of 0.072: by t = 100 its mass error
+    reaches about 1e22 without overflowing, and the row is kept with a header
+    line.  At h = 0.111 the mass error stays far below the initial mass 1."""
+    raw = {"experiment": "EFFICIENCY", "schemes": ["NB5s4"], "h_values": [h]}
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    lines = (tmp_path / "efficiency_NB5s4.csv").read_text().splitlines()
+    notes = [line for line in lines if line.startswith("# unstable h ")]
+    assert len(notes) == unstable
+    if unstable:
+        e, m = re.fullmatch(rf"# unstable h {h:.17g}: max mass error (\S+) "
+                            r"exceeds the initial mass (\S+)", notes[0]).groups()
+        assert float(e) > 1e20 and float(m) == pytest.approx(1.0, rel=1e-12)
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert len(rows) == 2 and float(rows[1][0]) == h
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("experiment, header", [
     ("EFFICIENCY", "# skipped h 1.3: state overflow"),
     ("CONSERVATION", "# aborted at step 1: state overflow"),
@@ -802,6 +821,20 @@ def test_rkn_check_of_an_overflowing_well_is_a_numerical_abort(tmp_path, capsys)
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical abort" and "not finite" in err["detail"]
     assert not list(tmp_path.iterdir())
+
+
+def test_rkn_check_runs_on_a_grid_whose_gaussian_squares_underflow(tmp_path, capsys):
+    """On x in [30, 40] every |u0_j|^2 underflows, but u0 is not 0: its norm
+    is taken after scaling by the peak 3.7e-196, and the run exits 0 (it
+    exited 3, "underflows to norm 0.0", when the sum of squares was 0)."""
+    raw = {"experiment": "RKN_CHECK", "grid": {"n": 64, "x_min": 30, "x_max": 40}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "rkn_check.json").read_text())
+    assert payload["u0_norm"] == pytest.approx(1.0, rel=1e-12)
+    assert np.isfinite(payload["residual"])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("experiment",

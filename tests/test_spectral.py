@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,67 @@ def test_grid_geometry(grid64):
     k = np.sort(grid64.k)
     assert k[0] == pytest.approx(-np.pi * 64 / 16.0)
     assert np.count_nonzero(k == 0.0) == 1
+
+
+@pytest.mark.parametrize("fields", [(64, -8.0, 8.0), (8, 0.5, 3.25), (1024, -30.0, 10.0)])
+def test_grid_arrays_are_built_once_from_their_formulas(fields):
+    """Equal fields give equal, hash-equal grids with bitwise-equal arrays;
+    x, k and k^2/2 have the bits of their formulas, and x and k are
+    read-only."""
+    n, x_min, x_max = fields
+    grid, twin = SpectralGrid(*fields), SpectralGrid(n=n, x_min=x_min, x_max=x_max)
+    assert grid == twin and hash(grid) == hash(twin)
+    assert repr(grid) == f"SpectralGrid(n={n}, x_min={x_min}, x_max={x_max})"
+    length = x_max - x_min
+    x = x_min + length / n * np.arange(n)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / length
+    for got, want in [(grid.x, x), (grid.k, k), (grid._half_k2, k**2 / 2.0)]:
+        assert got.tobytes() == want.tobytes()
+    for name in ("x", "k", "_half_k2"):
+        assert getattr(grid, name).tobytes() == getattr(twin, name).tobytes()
+    assert grid.x is grid.x and grid.k is grid.k
+    for a in (grid.x, grid.k):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_replaced_grid_rebuilds_its_arrays(grid64):
+    grid = dataclasses.replace(grid64, n=128)
+    fresh = SpectralGrid(n=128)
+    assert grid == fresh and grid.x.shape == grid.k.shape == (128,)
+    for name in ("x", "k", "_half_k2"):
+        assert getattr(grid, name).tobytes() == getattr(fresh, name).tobytes()
+    assert grid._scale == fresh._scale != grid64._scale
+    wide = dataclasses.replace(grid64, x_max=24.0)
+    assert wide.x[-1] == -8.0 + 32.0 / 64 * 63 and wide.k.tobytes() != grid64.k.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_norm_of_an_ordinary_state_keeps_the_plain_formula_bits(n):
+    grid = SpectralGrid(n=n)
+    gen = np.random.default_rng(n)
+    for u in (gen.standard_normal(n) + 1j * gen.standard_normal(n),
+              gen.standard_normal(n) * 1e-100, gen.standard_normal(n) * 1e100):
+        assert grid.norm(u) == math.sqrt(grid.dx * np.sum(np.abs(u) ** 2))
+
+
+def test_norm_of_a_state_whose_squares_underflow_or_overflow():
+    """A nonzero state whose sum of squares underflows to 0 or overflows to
+    inf has the norm m * norm(u/m) of its peak m, without a numpy warning;
+    an all-zero state keeps norm 0, and an infinite entry norm inf."""
+    tiny = SpectralGrid(n=64, x_min=30.0, x_max=40.0)
+    u = np.exp(-tiny.x**2 / 2.0).astype(complex)  # peak 3.7e-196
+    grid = SpectralGrid(n=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = np.abs(u).max()
+        assert tiny.norm(u) == m * math.sqrt(tiny.dx * np.sum(np.abs(u / m) ** 2))
+        assert 0.0 < tiny.norm(u) < m
+        assert tiny.norm(initial_gaussian(tiny)) == pytest.approx(1.0, rel=1e-12)
+        assert grid.norm(np.full(8, 1e200)) == 1e200 * math.sqrt(grid.dx * 8)
+        assert grid.norm(np.full(8, -1e-170j)) == 1e-170 * math.sqrt(grid.dx * 8)
+        assert grid.norm(np.zeros(8)) == 0.0
+        assert grid.norm(np.r_[np.inf, np.zeros(7)]) == math.inf
 
 
 def test_dft_against_naive_sum(rng):
@@ -404,7 +467,7 @@ def test_cached_arrays_are_read_only(pt64):
     assert all(not phase.flags.writeable for _, _, phase, _ in phases)
     assert all(gain == np.max(np.abs(phase)) ** 2 * (1 + 1e-9)
                for _, _, phase, gain in phases)
-    half_k2 = spectral._half_k2(grid)
+    half_k2 = grid._half_k2
     assert not half_k2.flags.writeable
     # the A symbol -k^2/2 keeps its bits when k^2/2 is negated instead
     assert np.array_equal(-half_k2, -grid.k**2 / 2.0)
