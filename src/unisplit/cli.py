@@ -44,7 +44,7 @@ _FIELDS = {
     "DH_SWEEP": {"schemes": None, "matrix": _MATRIX, "seed": 0,
                  "h_values": _geomspace(0.01, 10.0, 16)},
     "CONSERVATION": {"schemes": ["NB11s6"], "grid": _GRID,
-                     "h_values": [100.0 / 909.0], "t_final": 1e4, "sample_every": 1},
+                     "h_values": [100.0 / 909.0], "t_final": 1e4},
     "EFFICIENCY": {"schemes": None, "grid": _GRID, "h_values": _geomspace(0.02, 0.4, 8),
                    "t_final": 100.0},
     "ORDER": {"schemes": None, "matrix": _MATRIX, "seed": 0,
@@ -136,8 +136,7 @@ def _grid(raw: dict, form: str) -> tuple[spectral.SpectralGrid, np.ndarray]:
                         _real("grid.lam_prod", g["lam_prod"]))
 
 
-_READERS = {"schemes": _scheme_list, "h_values": _h_list, "t_final": _real,
-            "sample_every": _integer}
+_READERS = {"schemes": _scheme_list, "h_values": _h_list, "t_final": _real}
 
 
 def _resolve(raw: dict) -> dict:
@@ -217,26 +216,24 @@ def _run_dh_sweep(cfg: dict, cfg_hash: str) -> _Artifacts:
 
 def _run_conservation(cfg: dict, cfg_hash: str) -> _Artifacts:
     grid, v = cfg["grid"]
-    (h,), asked = cfg["h_values"], cfg["sample_every"]
+    (h,) = cfg["h_values"]
     n_steps = max(1, round(cfg["t_final"] / h))
-    # at most about 2000 samples per run
-    sample_every = max(asked, n_steps // 2000)
-    raised = ([f"sample_every raised from {asked} to {sample_every}"]
-              if sample_every != asked else [])
+    sample_every = max(1, n_steps // 2000)  # at most about 2000 samples per run
     u0 = spectral.initial_gaussian(grid)
     for s in [*cfg["schemes"], schemes.drift_comparator()]:
-        series = experiments.conservation_run(s, grid, v, u0, h, n_steps,
-                                              sample_every)
-        aborted = ([f"aborted at step {series.meta['aborted_at_step']}: "
-                    f"{series.meta['aborted']}"]
-                   if "aborted" in series.meta else [])
+        series = experiments.conservation_run(s, grid, v, u0, h, n_steps, sample_every)
+        meta = series.meta  # at most one of the two records
+        ended = ([f"aborted at step {meta['aborted_at_step']}: {meta['aborted']}"]
+                 if "aborted" in meta else
+                 [f"unstable h {h:.17g}: {meta['unstable']}"] if "unstable" in meta
+                 else [])
         yield f"conservation_{s.name}.csv", _csv(cfg_hash, [
             f"scheme {s.name} h {h:.17g} n_steps {n_steps}",
-            *raised,
+            *([f"sample_every {sample_every}"] if sample_every > 1 else []),
             "scheme: catalog entry" if s.name in _SCHEME_NAMES else
             "comparator: order-2 palindromic scheme with complex potential "
             "weights, not symmetric-conjugate",
-            *aborted,
+            *ended,
         ], series.to_csv())
         if len(series.rows) < 2:  # no slope to fit
             print(f"{s.name}: energy drift n/a ({len(series.rows)} samples)")
@@ -248,7 +245,6 @@ def _run_conservation(cfg: dict, cfg_hash: str) -> _Artifacts:
 def _run_efficiency(cfg: dict, cfg_hash: str) -> _Artifacts:
     grid, v = cfg["grid"]
     u0 = spectral.initial_gaussian(grid)
-    mass0 = grid.norm(u0) ** 2
     for s in cfg["schemes"]:
         series = experiments.DiagnosticSeries("h", ("fft_count", "max_energy_err"))
         notes = []
@@ -259,10 +255,8 @@ def _run_efficiency(cfg: dict, cfg_hash: str) -> _Artifacts:
                 # overflowed cell: no data row, but the header records it
                 notes.append(f"skipped h {h:.17g}: {run.meta['aborted']}")
                 continue
-            mass_err = run.column("mass_err").max()
-            if mass_err > mass0:  # blew up without overflowing: kept and recorded
-                notes.append(f"unstable h {h:.17g}: max mass error {mass_err:.17g} "
-                             f"exceeds the initial mass {mass0:.17g}")
+            if "unstable" in run.meta:  # blew up without overflowing: kept, recorded
+                notes.append(f"unstable h {h:.17g}: {run.meta['unstable']}")
             series.add(h, {"fft_count": run.column("fft_count")[-1],
                            "max_energy_err": run.column("energy_err").max()})
         yield f"efficiency_{s.name}.csv", _csv(

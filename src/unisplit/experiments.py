@@ -226,7 +226,9 @@ def conservation_run(
     and ``fft_count``, the stepping FFTs so far.  An overflow, which
     ``split_step`` reports as :class:`linalg.NumericalError`, ends the run:
     ``meta["aborted_at_step"]`` and ``meta["aborted"]`` record the step and
-    the message, and the rows before it are kept.
+    the message, and the rows before it are kept.  A run that did not abort
+    but whose largest ``mass_err`` exceeds M(u_0) blew up below the overflow
+    bound; ``meta["unstable"]`` records the two values.
 
     Sampled states are copied into a block (at most ``_BLOCK_ROWS`` rows and
     ``_BLOCK_BYTES`` bytes) that one stacked ``observables`` call evaluates
@@ -266,6 +268,10 @@ def conservation_run(
                     observe()
         if pending:
             observe()
+    worst = max((row[1] for row in series.rows), default=0.0)
+    if "aborted" not in series.meta and worst > obs0["mass"]:
+        series.meta["unstable"] = (f"max mass error {worst:.17g} exceeds the "
+                                   f"initial mass {obs0['mass']:.17g}")
     return series
 
 

@@ -264,10 +264,10 @@ def _table_entries() -> list[SplittingScheme]:
         b=(b0, b1, 0.5 - (b0.real + b1.real) + 0.1491719824749133j),
     ))
 
-    a0, a1 = 0.2, 0.054855282174763084
-    b0 = 0.07 + 0.019444288930263294j
-    b1 = 0.16 - 0.20579973912385285j
-    b2 = 0.16251793145097668 + 0.21219211957584155j
+    a0, a1 = 0.2, 0.054855282193224705
+    b0 = 0.07 + 0.0194442889280184j
+    b1 = 0.16 - 0.20579973914989463j
+    b2 = 0.16251793146353252 + 0.21219211960324574j
     entries.append(_reversible(
         "NB6s4", "BAB", 4, True,
         a=(a0, a1, 0.5 - (a0 + a1)),

@@ -100,14 +100,14 @@ class SpectralGrid:
 
     def norm(self, u) -> float:
         """Weighted discrete L2 norm sqrt(dx * sum |u|^2); m * norm(u/m), with m
-        the peak |u_j|, where the sum of squares underflows or overflows."""
+        the peak |u_j|, where dx * sum |u|^2 underflows or overflows."""
         a = np.abs(np.asarray(u))
         with np.errstate(over="ignore"):  # checked here, not warned
-            s = np.sum(a**2)
+            s = self.dx * np.sum(a**2)
         m = float(np.max(a, initial=0.0))
         if not np.finfo(float).tiny <= s < math.inf and 0.0 < m < math.inf:
             return m * self.norm(a / m)
-        return float(math.sqrt(self.dx * s))
+        return float(math.sqrt(s))
 
 
 def _check_length(grid: SpectralGrid, u, stack: bool = False) -> np.ndarray:

@@ -26,6 +26,10 @@ def conservation(**kw):
     return base
 
 
+# CONSERVATION derives its sampling from n_steps and reads no sample_every.
+_UNKNOWN_SAMPLE_EVERY = "unknown config fields for CONSERVATION: ['sample_every']"
+
+
 def _refused(tmp_path, capsys, status, *words):
     """The run exited 2 with an invalid-config detail naming ``words``,
     and wrote nothing."""
@@ -160,28 +164,43 @@ def test_conservation_smoke_with_comparator(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("sample_every, raised", [(1, True), (3, False)])
-def test_conservation_records_raised_sample_every(tmp_path, capsys,
-                                                  sample_every, raised):
-    """Runs are thinned to about 2000 samples, and the header says so."""
-    raw = {
-        "experiment": "CONSERVATION",
-        "schemes": ["S31"],
-        "grid": {"n": 64},
-        "h_values": [0.05],
-        "t_final": 300.0,
-        "sample_every": sample_every,
-    }
-    assert cli.run(raw, out_dir=str(tmp_path)) == 0
-    lines = (tmp_path / "conservation_S31.csv").read_text().splitlines()
-    assert ("# sample_every raised from 1 to 3" in lines) is raised
-    rows = [line for line in lines if not line.startswith("#")]
-    assert len(rows) == 1 + 2000
+def test_conservation_thins_a_long_run_with_a_record(tmp_path, capsys):
+    """A run is thinned to about 2000 samples, and the header says so; a
+    run of at most 2000 steps keeps every step and writes no such line."""
+    for t_final, every, rows in ((300.0, 3, 2000), (100.0, None, 2000)):
+        raw = conservation(t_final=t_final)
+        assert cli.run(raw, out_dir=str(tmp_path)) == 0
+        lines = (tmp_path / "conservation_S31.csv").read_text().splitlines()
+        thinned = [line for line in lines if line.startswith("# sample_every")]
+        assert thinned == ([f"# sample_every {every}"] if every else [])
+        assert len([line for line in lines if not line.startswith("#")]) == 1 + rows
     capsys.readouterr()
 
 
 def _conservation_lines(tmp_path, name):
     return (tmp_path / f"conservation_{name}.csv").read_text().splitlines()
+
+
+def test_conservation_records_a_run_that_blew_up(tmp_path, capsys):
+    """S32 at h = 0.16996 on the default grid lies above its h* of 0.047: by
+    t = 100 its mass error far exceeds the initial mass 1 without
+    overflowing, and the header records it.  The comparator overflows at
+    step 343; its run is recorded as aborted only."""
+    h = 0.1699562481967873
+    raw = {"experiment": "CONSERVATION", "schemes": ["S32"], "h_values": [h],
+           "t_final": 100}
+    assert cli.run(raw, out_dir=str(tmp_path)) == 0
+    lines = _conservation_lines(tmp_path, "S32")
+    notes = [line for line in lines if line.startswith("# unstable h ")]
+    assert len(notes) == 1 and not any(line.startswith("# aborted") for line in lines)
+    e, m = re.fullmatch(rf"# unstable h {h:.17g}: max mass error (\S+) "
+                        r"exceeds the initial mass (\S+)", notes[0]).groups()
+    assert float(e) > 1e8 and float(m) == pytest.approx(1.0, rel=1e-12)
+    assert len([line for line in lines if not line.startswith("#")]) == 1 + 588
+    comparator = _conservation_lines(tmp_path, "pal2_b0.25_0.25")
+    ended = [line for line in comparator if line.startswith(("# aborted", "# unstable"))]
+    assert len(ended) == 1 and ended[0].startswith("# aborted at step 343: ")
+    capsys.readouterr()
 
 
 def test_conservation_records_an_aborted_run(tmp_path, capsys):
@@ -363,6 +382,7 @@ def test_main_unreadable_config(tmp_path, capsys):
     (cfg(grid={"n": 64}), "grid"),
     (cfg(t_final=1.0), "t_final"),
     (cfg(sample_every=2), "sample_every"),
+    (conservation(sample_every=3), _UNKNOWN_SAMPLE_EVERY),
     (cfg(include_comparator=False), "include_comparator"),
     (cfg(h_values=[0.1, 1.0], h_range={"min": 0.1, "max": 1.0, "points": 4}),
      "h_range"),
@@ -381,7 +401,8 @@ def test_main_unreadable_config(tmp_path, capsys):
     (conservation(include_comparator=True), "include_comparator"),
 ], ids=["conservation_two_h", "n_steps_and_t_final", "conservation_threshold",
         "conservation_matrix", "conservation_seed", "dh_sweep_grid",
-        "dh_sweep_t_final", "dh_sweep_sample_every", "dh_sweep_comparator",
+        "dh_sweep_t_final", "dh_sweep_sample_every", "conservation_sample_every",
+        "dh_sweep_comparator",
         "h_values_and_h_range", "seed_and_matrix_seed", "order_grid_and_matrix",
         "rkn_check_schemes", "multiplicities_on_simple_class",
         "comparator_not_a_bool", "empty_multiplicities_on_simple_class",
@@ -434,15 +455,17 @@ def test_main_refuses_seed_on_a_config_that_sets_it(tmp_path, capsys, raw):
     (cfg(matrix={"class": "SYM_SIMPLE", "multiplicities": []}),
      ["invalid matrix", "SYM_SIMPLE reads no multiplicities"]),
     (cfg(threshold=json.loads("NaN")), ["threshold"]),
-    (conservation(sample_every=0), ["sample_every"]),
-    (conservation(sample_every=-2), ["sample_every"]),
+    (cfg(matrix={"n": 1}), ["invalid matrix: dimension must be at least 2"]),
+    (conservation(sample_every=0), [_UNKNOWN_SAMPLE_EVERY]),
+    (conservation(sample_every=-2), [_UNKNOWN_SAMPLE_EVERY]),
 ], ids=["matrix_not_object", "h_range_not_object", "schemes_string", "schemes_repeated",
         "seed_float", "seed_bool", "matrix_n_float", "h_range_points_float",
         "h_nan", "h_infinity", "multiplicities_float", "multiplicities_empty",
         "multiplicities_null", "multiplicities_empty_on_simple_class", "threshold_nan",
-        "sample_every_zero", "sample_every_negative"])
+        "matrix_n_one", "sample_every_zero", "sample_every_negative"])
 def test_value_of_the_wrong_kind_is_refused(tmp_path, capsys, raw, words):
-    """No traceback, no truncation and no silent raise to 1."""
+    """No traceback and no truncation; a ``sample_every`` of 0 or below is
+    refused as an unknown field, not raised to 1."""
     _refused(tmp_path, capsys, cli.run(raw, out_dir=str(tmp_path)), *words)
 
 
@@ -464,10 +487,9 @@ def test_resolve_gives_the_table_defaults():
     """A config resolves to the fields its form reads, each built once:
     ``seed`` goes into ``matrix``."""
     c = cli._resolve({"experiment": "CONSERVATION"})
-    assert sorted(c) == ["experiment", "grid", "h_values", "sample_every", "schemes",
-                         "t_final"]
+    assert sorted(c) == ["experiment", "grid", "h_values", "schemes", "t_final"]
     assert [s.name for s in c["schemes"]] == ["NB11s6"]
-    assert (c["h_values"], c["t_final"], c["sample_every"]) == ([100.0 / 909.0], 1e4, 1)
+    assert (c["h_values"], c["t_final"]) == ([100.0 / 909.0], 1e4)
     assert c["grid"][0] == spectral.SpectralGrid(n=256)
     d = cli._resolve(cfg(seed=7))
     assert d["matrix"] == experiments.MatrixClassSpec(
@@ -540,7 +562,7 @@ SCHEMES_LIST_CSV = [
     'strang,ABA,2,1,1,1',
     'triple_jump4,ABA,4,3,1.7024143839193155,4.4048287678386311',
     'NB5s4,BAB,4,5,1,1.1413392058765068',
-    'NB6s4,BAB,4,6,1,1.4161790673952872',
+    'NB6s4,BAB,4,6,1,1.4161790674688741',
     'NB8s5,BAB,5,8,1.0000000000000002,1.4819645839418023',
     'NB9s5,BAB,5,9,1.0000000000000002,1.6176193168100259',
     'NA11s6,ABA,6,11,1,2.0919527229978292',

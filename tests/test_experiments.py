@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from unisplit import experiments as ex
-from unisplit import linalg, schemes, spectral
+from unisplit import linalg, propagator, schemes, spectral
 from unisplit.experiments import (
     DiagnosticSeries,
     MatrixClass,
@@ -217,6 +217,26 @@ def test_dh_sweep_records_eigensolver_failures(sym_split, monkeypatch):
                           np.delete(full.column("D_h"), [1, 3]))
 
 
+def test_dh_sweep_records_a_point_whose_eigvals_raises(sym_split, monkeypatch):
+    """A LinAlgError of numpy's eigvals reaches dh_sweep through
+    eig_general as a NumericalError, and only its point is dropped."""
+    _, a, b = sym_split
+    h_grid = [0.05, 0.2, 0.8]
+    s = schemes.get_scheme("S31")
+    full = dh_sweep(s, a, b, h_grid)
+    bad, eigvals = propagator.step_matrix(s, a, b, 0.2), np.linalg.eigvals
+
+    def stub(m):  # fails on every input that holds the step matrix of h = 0.2
+        if any(np.array_equal(x, bad) for x in np.reshape(m, (-1,) + bad.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", stub)
+    series = dh_sweep(s, a, b, h_grid)
+    assert series.meta["failures"] == [0.2]
+    assert series.rows == [full.rows[0], full.rows[2]]
+
+
 def _reference_dh_sweep(scheme, a, b, h_grid):
     """(rows, h_star, failures) of dh_sweep as a loop over the eigenvalues of
     each matrix, redone matrix by matrix when the stack fails."""
@@ -269,7 +289,9 @@ def test_dh_sweep_no_threshold_on_generic_matrices():
 
 def _bare_conservation_loop(scheme, grid, v, u, h, n_steps, sample_every):
     """(rows, meta) of a split_step/observables loop that observes each
-    sample on its own, with two FFTs per A-factor and step so far."""
+    sample on its own, with two FFTs per A-factor and step so far, and that
+    marks a run unstable when it did not abort and a mass error exceeds
+    the initial mass."""
     n_a = sum(f.op == "A" for f in scheme.factors)
     obs0 = spectral.observables(grid, v, u)
     rows, meta = [], {}
@@ -283,6 +305,10 @@ def _bare_conservation_loop(scheme, grid, v, u, h, n_steps, sample_every):
             obs = spectral.observables(grid, v, u)
             rows.append((n * h, abs(obs["mass"] - obs0["mass"]),
                          abs(obs["energy"] - obs0["energy"]), 2 * n_a * n))
+    worst = max((row[1] for row in rows), default=0.0)
+    if not meta and worst > obs0["mass"]:
+        meta["unstable"] = (f"max mass error {worst:.17g} exceeds the initial mass "
+                            f"{obs0['mass']:.17g}")
     return rows, meta
 
 
@@ -320,6 +346,22 @@ def test_conservation_run_keeps_the_rows_before_an_abort():
     assert series.meta["aborted_at_step"] == 39
     assert series.rows == expected
     assert series.meta == meta
+
+
+def test_conservation_run_records_a_run_that_blew_up():
+    """NB5s4 at h = 0.4 lies above its grid h* of 0.072: over 250 steps its
+    mass error grows past 1e20 without overflowing.  The run keeps every row
+    and records the largest mass error against the initial mass."""
+    grid = spectral.SpectralGrid()
+    v = spectral.pt_potential(grid)
+    u = spectral.initial_gaussian(grid)
+    s = schemes.get_scheme("NB5s4")
+    series = conservation_run(s, grid, v, u, 0.4, 250)
+    expected, meta = _bare_conservation_loop(s, grid, v, u, 0.4, 250, 1)
+    assert series.rows == expected and len(expected) == 250
+    assert series.meta == meta and "aborted" not in meta
+    assert series.meta["unstable"].startswith("max mass error ")
+    assert max(series.column("mass_err")) > 1e20
 
 
 def test_conservation_run_refuses_a_nonfinite_observable(pt64):

@@ -79,3 +79,15 @@ def test_eig_general_reports_non_finite_entries_as_numerical_error():
     stack[1, 0, 2] = np.inf
     with pytest.raises(linalg.NumericalError, match="non-finite"):
         linalg.eig_general(stack)
+
+
+def test_eig_general_reports_a_failed_iteration(monkeypatch):
+    """numpy's LinAlgError, a QR iteration that did not converge, is a
+    NumericalError naming it."""
+    def fails(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails)
+    with pytest.raises(linalg.NumericalError, match="eigenvalue iteration failed: "
+                       "Eigenvalues did not converge"):
+        linalg.eig_general(np.eye(3))

@@ -92,9 +92,10 @@ def test_norm_of_an_ordinary_state_keeps_the_plain_formula_bits(n):
 
 
 def test_norm_of_a_state_whose_squares_underflow_or_overflow():
-    """A nonzero state whose sum of squares underflows to 0 or overflows to
-    inf has the norm m * norm(u/m) of its peak m, without a numpy warning;
-    an all-zero state keeps norm 0, and an infinite entry norm inf."""
+    """A nonzero state whose sum of squares, or dx times it, underflows to 0
+    or overflows to inf has the norm m * norm(u/m) of its peak m, without a
+    numpy warning; an all-zero state keeps norm 0, and an infinite entry
+    norm inf."""
     tiny = SpectralGrid(n=64, x_min=30.0, x_max=40.0)
     u = np.exp(-tiny.x**2 / 2.0).astype(complex)  # peak 3.7e-196
     grid = SpectralGrid(n=8)
@@ -108,6 +109,11 @@ def test_norm_of_a_state_whose_squares_underflow_or_overflow():
         assert grid.norm(np.full(8, -1e-170j)) == 1e-170 * math.sqrt(grid.dx * 8)
         assert grid.norm(np.zeros(8)) == 0.0
         assert grid.norm(np.r_[np.inf, np.zeros(7)]) == math.inf
+        # normal sums of squares, with dx = 5e299 and 9.8e-152
+        wide = SpectralGrid(n=2, x_min=0.0, x_max=1e300)
+        assert wide.norm([1e5, 1e5]) == pytest.approx(1e155, rel=1e-15)
+        narrow = SpectralGrid(n=1024, x_min=0.0, x_max=1e-148)
+        assert narrow.norm(np.full(1024, 1e-150)) == pytest.approx(1e-224, rel=1e-15)
 
 
 def test_dft_against_naive_sum(rng):
