@@ -233,7 +233,11 @@ def conservation_run(
     Sampled states are copied into a block (at most ``_BLOCK_ROWS`` rows and
     ``_BLOCK_BYTES`` bytes) that one stacked ``observables`` call evaluates
     when full and at the end; each row has the bits of a single call.
+    ``n_steps`` and ``sample_every`` are integers >= 1, or a ValueError.
     """
+    for key, k in (("n_steps", n_steps), ("sample_every", sample_every)):
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {k!r}")
     counter = spectral.FftCounter()
     obs0 = spectral.observables(grid, v_pot, u0)
     series = DiagnosticSeries(

@@ -7,7 +7,6 @@ and the reversibility / convergence-order diagnostics built on top of it.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +16,10 @@ from unisplit.schemes import SplittingScheme
 
 __all__ = [
     "step_matrix",
-    "exact_propagator",
     "reversibility_report",
     "OrderFit",
     "fit_loglog",
     "empirical_order",
-    "eigenphase_error",
 ]
 
 #: Eigenvector condition number above which an operator's factors are built
@@ -149,11 +146,6 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     return t[0].T if h_arr.ndim == 0 else t.transpose(0, 2, 1)
 
 
-def exact_propagator(h_matrix, t: float) -> np.ndarray:
-    """Exact flow expm(i t H)."""
-    return linalg.expm(1j * t * np.asarray(h_matrix, dtype=complex))
-
-
 def reversibility_report(
     scheme: SplittingScheme, a, b, h: float
 ) -> dict[str, float]:
@@ -219,48 +211,9 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
     refs, hs = split["refs"], h_arr.reshape(-1).tolist()
     for h in hs:
         if h not in refs:
-            refs[h] = exact_propagator(split["H"], h)
+            refs[h] = linalg.expm(1j * h * split["H"])
             refs[h].flags.writeable = False
     errors = [float(np.linalg.norm(s_h - refs[h])) for s_h, h
               in zip(step_matrix(scheme, split["A"], split["B"], h_arr), hs)]
     return fit_loglog(h_arr, errors)
 
-
-def eigenphase_error(scheme: SplittingScheme, a, b, h) -> float | np.ndarray:
-    """Max distance from the eigenvalues of S_h to the exact phases e^{i h lam}.
-
-    ``h`` is a real scalar, giving a float, or a real 1-D array, giving an
-    array of one error per entry; an entry h = 0 gives 0.  A, B and H = A + B
-    are validated and diagonalised once for the whole array, whatever h is,
-    so a grid costs one `step_matrix` and one `eig_general` call.
-
-    H = A + B must be real symmetric.  Each eigenvalue of S_h is matched to
-    its nearest exact phase, so two eigenvalues may match the same phase (the
-    matching is not one-to-one); a RuntimeWarning is issued, once for each h,
-    when a second exact phase lies within twice the matched distance (valid
-    only for h small enough that phase gaps dominate the method error).
-    """
-    h_arr = np.asarray(h).astype(float, casting="same_kind")
-    if h_arr.ndim > 1:
-        raise linalg.DimensionError(f"h must be a scalar or 1-D, got ndim={h_arr.ndim}")
-    hs = h_arr.reshape(-1)
-    lam, _ = linalg.eig_symmetric(_split(a, b)["H"])  # validates whatever h is
-    worst = np.zeros(len(hs))
-    live = hs != 0.0
-    if live.any():
-        exact = np.exp(1j * hs[live, None] * lam)
-        omega = linalg.eig_general(step_matrix(scheme, a, b, hs[live]))
-        # dist[k, i, j] = |omega_i - exact_j| at the k-th nonzero h
-        dist = np.abs(omega[:, :, None] - exact[:, None, :])
-        near = dist.min(axis=2)
-        worst[live] = near.max(axis=1)
-        if lam.size > 1:
-            second = np.partition(dist, 1, axis=2)[:, :, 1]
-            for h_k in hs[live][(second < 2.0 * near).any(axis=1)]:
-                warnings.warn(
-                    f"eigenphase pairing ambiguous at h={float(h_k)}: two exact "
-                    "phases within 2x the pairing distance",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return float(worst[0]) if h_arr.ndim == 0 else worst

@@ -118,6 +118,18 @@ def _check_length(grid: SpectralGrid, u, stack: bool = False) -> np.ndarray:
     return v
 
 
+def _check_potential(grid: SpectralGrid, v_pot) -> np.ndarray:
+    """``v_pot`` as an array of shape (N,), in double precision if it is a
+    float16, float32 or complex64 one: NEP 50 would keep that precision in
+    the phases."""
+    v = np.asarray(v_pot)
+    if v.shape != (grid.n,):
+        raise linalg.DimensionError(f"expected a potential of shape ({grid.n},), "
+                                    f"got {v.shape}")
+    wide = {"e": float, "f": float, "F": complex}.get(v.dtype.char)
+    return v if wide is None else v.astype(wide)
+
+
 def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
                out: np.ndarray | None) -> np.ndarray:
     v = np.asarray(u, dtype=complex)
@@ -289,7 +301,7 @@ def split_step(
     # a copy: the caller's array when it is already complex
     state = np.array(_check_length(grid, u))
     spare = np.empty_like(state)
-    v_pot = np.asarray(v_pot)
+    v_pot = _check_potential(grid, v_pot)
     phases = _factor_phases(scheme, grid, h, v_pot.dtype.str, v_pot.shape,
                             v_pot.tobytes())
     bound = float(np.vdot(state, state).real) * _NORM2_MARGIN
@@ -323,7 +335,7 @@ def observables(grid: SpectralGrid, v_pot: np.ndarray, u) -> dict:
     that sum as the 1-D ones do).
     """
     state = _check_length(grid, u, stack=True)
-    hu = _a_action(grid, state) - v_pot * state
+    hu = _a_action(grid, state) - _check_potential(grid, v_pot) * state
     form = grid.dx * np.vecdot(state, hu)  # conjugates its first argument
     mass = grid.dx * np.sum(np.abs(state) ** 2, axis=-1)
     if state.ndim == 1:
@@ -340,7 +352,7 @@ def rkn_residual(grid: SpectralGrid, v_pot: np.ndarray, u0) -> float:
     kinetic/potential splits.
     """
     u = _check_length(grid, u0)
-    b = -np.asarray(v_pot)
+    b = -_check_potential(grid, v_pot)
     a = _a_action(grid, np.stack([u, b * u, b**2 * u, b**3 * u]))
     return grid.norm(b**3 * a[0] - 3.0 * (b**2 * a[1]) + 3.0 * (b * a[2]) - a[3])
 
@@ -360,7 +372,7 @@ def build_dense_hamiltonian(
     if np.max(np.abs(a.imag)) > 1e-12 * max(np.max(np.abs(a.real)), 1.0):
         raise linalg.NumericalError("kinetic matrix has unexpected imaginary part")
     a = a.real
-    b = np.diag(-np.asarray(v_pot, dtype=float))
+    b = np.diag(-np.asarray(_check_potential(grid, v_pot), dtype=float))
     return a, b, a + b
 
 

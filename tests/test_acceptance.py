@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from unisplit import experiments, propagator, schemes, spectral
+from unisplit import experiments, linalg, propagator, schemes, spectral
 
 
 @pytest.fixture
@@ -183,7 +183,7 @@ def _taylor_norms(scheme, a, b, k_max):
     """
     z = 0.25 * np.exp(2j * np.pi * np.arange(32) / 32)
     diffs = propagator.step_matrix(scheme, a, b, z) - np.array(
-        [propagator.exact_propagator(zj * (a + b), 1.0) for zj in z])
+        [linalg.expm(1j * (zj * (a + b))) for zj in z])
     return [float(np.linalg.norm(np.tensordot(z ** -k, diffs, axes=1)) / 32)
             for k in range(1, k_max + 1)]
 
@@ -232,17 +232,45 @@ def test_criterion_05c_generic_split_degradation(report):
            {"slope": slopes})
 
 
+def _eigenphase_errors(scheme, a, b, h_grid):
+    """(errors, ambiguous): per h, the largest distance from an eigenvalue of
+    S_h to its nearest exact phase exp(i h lam), with lam the eigenvalues of
+    the real symmetric A + B; and the h at which some pairing is ambiguous,
+    a second exact phase lying within twice the nearest one's distance."""
+    lam, _ = linalg.eig_symmetric(a + b)
+    omega = linalg.eig_general(propagator.step_matrix(scheme, a, b, h_grid))
+    # dist[k, i, j] = |omega_i - exp(i h_k lam_j)|
+    dist = np.abs(omega[:, :, None] - np.exp(1j * h_grid[:, None, None] * lam))
+    near = dist.min(axis=2)
+    second = np.partition(dist, 1, axis=2)[:, :, 1]
+    return near.max(axis=1), h_grid[(second < 2.0 * near).any(axis=1)].tolist()
+
+
 def test_criterion_06_eigenphase_superconvergence(report):
     _, a, b = sym_pair(seed=0)
     s31 = schemes.get_scheme("S31")
     h_grid = np.geomspace(0.05, 0.4, 8)
-    phases = propagator.eigenphase_error(s31, a, b, h_grid)
+    phases, ambiguous = _eigenphase_errors(s31, a, b, h_grid)
     phase_slope = propagator.fit_loglog(h_grid, phases).slope
     local_slope = propagator.empirical_order(s31, a, b, h_grid).slope
-    ok = abs(phase_slope - 5.0) <= 0.3 and abs(local_slope - 4.0) <= 0.3
+    ok = (not ambiguous and abs(phase_slope - 5.0) <= 0.3
+          and abs(local_slope - 4.0) <= 0.3)
     report("6 eigenphase superconvergence", ok,
-           f"eigenphase slope {phase_slope:.2f}/5.0, local {local_slope:.2f}/4.0",
-           {"eigenphase_slope": phase_slope, "local_slope": local_slope})
+           f"eigenphase slope {phase_slope:.2f}/5.0, local {local_slope:.2f}/4.0"
+           + (f"; pairing ambiguous at h {ambiguous}" if ambiguous else ""),
+           {"eigenphase_slope": phase_slope, "local_slope": local_slope,
+            **({"ambiguous_h": ambiguous} if ambiguous else {})})
+
+
+def test_eigenphase_errors_scale_and_flag_an_ambiguous_pairing():
+    """Criterion 6's measure: strang's phase error is third order (doubling h
+    multiplies it by about 8), and at h = 3 a second exact phase lies within
+    twice the nearest one's distance, which fails the criterion."""
+    _, a, b = sym_pair(seed=0)
+    errors, ambiguous = _eigenphase_errors(schemes.get_scheme("strang"), a, b,
+                                           np.array([0.02, 0.04, 3.0]))
+    assert errors[1] / errors[0] == pytest.approx(8.0, rel=0.35)
+    assert ambiguous == [3.0]
 
 
 H_CONSERVATION = 100.0 / 909.0

@@ -878,3 +878,14 @@ def test_initial_state_that_underflows_is_a_numerical_abort(tmp_path, capsys,
     assert err == {"error": "numerical abort", "detail": "initial state exp(-x^2/2) "
                    "underflows to norm 0.0 on x in [1000.0, 2000.0]"}
     assert not list(tmp_path.iterdir())
+
+
+def test_a_matrix_class_never_drawn_is_a_numerical_abort(tmp_path, capsys, monkeypatch):
+    """DH_SWEEP on a class whose 64 draws all fail the eigenvalue gap: exit 3,
+    with ``generate``'s message, and nothing written."""
+    monkeypatch.setattr(experiments, "_distinct_values", lambda rng, n: None)
+    assert cli.run(cfg(matrix={"class": "REAL_SIMPLE_EIGS"}), out_dir=str(tmp_path)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "numerical abort",
+                   "detail": "could not draw a REAL_SIMPLE_EIGS spectrum in 64 attempts"}
+    assert not list(tmp_path.iterdir())

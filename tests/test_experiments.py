@@ -141,6 +141,15 @@ def test_redrawn_spectra_keep_their_bits(monkeypatch):
         "0c70e033c052a4730f49225798acb74cd6f6b7fa3a6fd13ffccb129d04c115bd"
 
 
+def test_a_spectrum_never_drawn_distinct_is_a_numerical_error(monkeypatch):
+    """When none of the 64 draws has distinct eigenvalues, ``generate``
+    raises and names the class."""
+    monkeypatch.setattr(ex, "_distinct_values", lambda rng, n: None)
+    with pytest.raises(linalg.NumericalError,
+                       match="^could not draw a REAL_SIMPLE_EIGS spectrum in 64 attempts$"):
+        generate(spec_of("REAL_SIMPLE_EIGS"))
+
+
 def test_generation_is_deterministic():
     h1, a1, _ = generate(spec_of("ARBITRARY"))
     h2, a2, _ = generate(spec_of("ARBITRARY"))
@@ -375,6 +384,27 @@ def test_conservation_run_refuses_a_nonfinite_observable(pt64):
         assert not np.isfinite(spectral.observables(grid, deep, u)["energy"])
         with pytest.raises(ValueError, match="non-finite diagnostic value at t=0.1$"):
             conservation_run(schemes.get_scheme("strang"), grid, deep, u, 0.1, 10)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sample_every", 0), ("sample_every", -2), ("sample_every", 2.5),
+    ("n_steps", -3), ("n_steps", 0), ("n_steps", 6.0)])
+def test_conservation_run_refuses_a_run_length_below_one_or_not_an_integer(
+        pt64, key, value):
+    """``sample_every`` = 0 raised ZeroDivisionError, -2 sampled every second
+    step, and ``n_steps`` = -3 or 0 returned a series with no rows."""
+    grid, v, _, _, _ = pt64
+    lengths = {"n_steps": 6, "sample_every": 1, key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1, got "):
+        conservation_run(schemes.get_scheme("strang"), grid, v,
+                         spectral.initial_gaussian(grid), 0.1, **lengths)
+
+
+def test_conservation_run_takes_numpy_integers(pt64):
+    grid, v, _, _, _ = pt64
+    s, u = schemes.get_scheme("strang"), spectral.initial_gaussian(grid)
+    assert (conservation_run(s, grid, v, u, 0.1, np.int64(6), np.int64(4)).rows
+            == conservation_run(s, grid, v, u, 0.1, 6, 4).rows)
 
 
 def test_drift_slope_recovers_linear_trend():

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from unisplit import experiments, linalg, propagator, schemes
 from unisplit.propagator import (
     OrderFit,
-    eigenphase_error,
     empirical_order,
-    exact_propagator,
     fit_loglog,
     reversibility_report,
     step_matrix,
@@ -319,14 +317,13 @@ def test_invalid_operator_raises_on_every_call(case):
 
     def results(a, b):
         return (step_matrix(s, a, b, H_SWEEP).tobytes(),
-                empirical_order(s, a, b, H_ORDER),
-                eigenphase_error(s, a, b, H_ORDER).tobytes())
+                empirical_order(s, a, b, H_ORDER))
 
     clear_memos()
     cold = results(a, b)
     bad_a, bad_b, error, message = invalid_split(case, a, b)
     for _ in range(2):
-        for call in (step_matrix, empirical_order, eigenphase_error):
+        for call in (step_matrix, empirical_order):
             with pytest.raises(error, match=message):
                 call(s, bad_a, bad_b, H_ORDER)
     assert results(a, b) == cold
@@ -426,14 +423,12 @@ def test_step_matrix_rejects_2d_h(sym_split):
 
 
 @pytest.mark.parametrize("call", [
-    lambda s, a, b: eigenphase_error(s, a, b, np.array([0.1 + 0.1j, 0.2])),
-    lambda s, a, b: eigenphase_error(s, a, b, 0.1 + 0.1j),
     lambda s, a, b: empirical_order(s, a, b, H_ORDER * (1.0 + 0.1j)),
     lambda s, a, b: fit_loglog(H_ORDER * (1.0 + 0.1j), H_ORDER**4),
     lambda s, a, b: fit_loglog(H_ORDER, H_ORDER**4 * (1.0 + 0.1j)),
     lambda s, a, b: reversibility_report(s, a, b, 0.1 + 0.1j),
     lambda s, a, b: reversibility_report(s, a, b, np.complex128(0.1 + 0.1j)),
-], ids=["eigenphase_error_array", "eigenphase_error_scalar", "empirical_order",
+], ids=["empirical_order",
         "fit_loglog_h", "fit_loglog_errors", "reversibility_report",
         "reversibility_report_numpy_scalar"])
 def test_a_complex_h_is_refused_where_only_a_real_h_makes_sense(sym_split, call):
@@ -474,12 +469,6 @@ def test_real_split_reversibility_property(seed, n, h):
         assert np.linalg.norm(s_h.conj() @ s_h - np.eye(n)) <= 1e-10
 
 
-def test_exact_propagator_unitary(sym_split):
-    h_mat, _, _ = sym_split
-    u = exact_propagator(h_mat, 0.7)
-    assert np.allclose(u @ u.conj().T, np.eye(10), atol=1e-12)
-
-
 @pytest.mark.parametrize("name", ["S31", "NB5s4", "B15s6"])
 @pytest.mark.parametrize("h", [0.01, 0.1, 0.5])
 def test_reversibility_residuals_small(sym_split, name, h):
@@ -517,80 +506,3 @@ def test_fit_requires_two_points():
     with pytest.raises(linalg.NumericalError):
         fit_loglog([0.1, 0.2], [1e-15, 5e-15])
 
-
-def test_eigenphase_error_zero_h(sym_split):
-    _, a, b = sym_split
-    assert eigenphase_error(schemes.get_scheme("S31"), a, b, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("h", [0.0, np.zeros(3)], ids=["scalar", "array"])
-@pytest.mark.parametrize("case", ["nan entry", "mismatched shapes", "non-symmetric H"])
-def test_eigenphase_error_validates_the_split_at_zero_h(sym_split, case, h):
-    """An invalid split raises also when every h is 0, as for any other h."""
-    _, a, b = sym_split
-    if case == "non-symmetric H":
-        a, b = a.copy(), b.copy()
-        a[0, 1] += 0.5
-        error, message = linalg.DimensionError, "asymmetric"
-    else:
-        a, b, error, message = invalid_split(case, a, b)
-    s = schemes.get_scheme("S31")
-    for hh in (h, 0.1):
-        with pytest.raises(error, match=message):
-            eigenphase_error(s, a, b, hh)
-
-
-def test_eigenphase_error_scales(sym_split):
-    _, a, b = sym_split
-    s = schemes.get_scheme("strang")
-    e1 = eigenphase_error(s, a, b, 0.02)
-    e2 = eigenphase_error(s, a, b, 0.04)
-    # third-order phase error: doubling h multiplies the error by ~8
-    assert e2 / e1 == pytest.approx(8.0, rel=0.35)
-
-
-def _reference_eigenphase_error(scheme, a, b, h):
-    """(error, ambiguous) at one h: a scalar step matrix and the greedy
-    pairing, row by row."""
-    lam, _ = linalg.eig_symmetric(a + b)
-    exact = np.exp(1j * h * lam)
-    omega = linalg.eig_general(step_matrix(scheme, a, b, h))
-    worst, ambiguous = 0.0, False
-    for row in np.abs(omega[:, None] - exact[None, :]):
-        j = int(np.argmin(row))
-        others = np.delete(row, j)
-        ambiguous |= bool(others.size and np.min(others) < 2.0 * row[j])
-        worst = max(worst, float(row[j]))
-    return worst, ambiguous
-
-
-def test_eigenphase_error_stack_equals_scalar_calls(sym_split):
-    _, a, b = sym_split
-    # pairing is ambiguous at none, one or several of the h >= 1.5 per scheme
-    h_grid = np.array([0.0, 0.02, 0.05, 0.4, 1.5, 2.0, 2.5, 3.0])
-    for s in schemes.catalog():
-        with warnings.catch_warnings(record=True) as scalar_warnings:
-            warnings.simplefilter("always")
-            scalar = [eigenphase_error(s, a, b, float(h)) for h in h_grid]
-        with warnings.catch_warnings(record=True) as stack_warnings:
-            warnings.simplefilter("always")
-            stacked = eigenphase_error(s, a, b, h_grid)
-        reference = [(0.0, False)] + [_reference_eigenphase_error(s, a, b, float(h))
-                                      for h in h_grid[1:]]
-        assert stacked.shape == h_grid.shape
-        assert stacked.tobytes() == np.array(scalar).tobytes(), s.name
-        assert stacked.tobytes() == np.array([e for e, _ in reference]).tobytes()
-        messages = [str(w.message) for w in stack_warnings]
-        assert messages == [str(w.message) for w in scalar_warnings]
-        assert messages == [
-            f"eigenphase pairing ambiguous at h={h}: two exact phases within "
-            "2x the pairing distance"
-            for h, (_, ambiguous) in zip(h_grid, reference) if ambiguous]
-    with pytest.raises(linalg.DimensionError):
-        eigenphase_error(s, a, b, h_grid[None, :])
-
-
-def test_eigenphase_warns_when_pairing_ambiguous(sym_split):
-    _, a, b = sym_split
-    with pytest.warns(RuntimeWarning):
-        eigenphase_error(schemes.get_scheme("strang"), a, b, 3.0)

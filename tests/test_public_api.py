@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import unisplit
 
 MODULES = [m.name for m in pkgutil.iter_modules(unisplit.__path__)]
 SOURCE = Path(unisplit.__path__[0])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("short", MODULES)
@@ -61,3 +63,25 @@ def test_module_reads_no_private_names_of_another(short):
     # is of another unisplit module
     _, private = _private_reads(SOURCE / f"{short}.py")
     assert not private, f"unisplit.{short} reads private names: {private}"
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name the file at ``path`` reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    """A function in a module's ``__all__`` is read by the package or by the
+    benchmark, not only by the tests; classes and exceptions are exempt."""
+    files = [*SOURCE.glob("*.py"), *PERFBENCH.glob("*.py")]
+    assert any(p.parent == PERFBENCH for p in files), "perfbench/ not found"
+    read = set().union(*map(_names_read, files))
+    unread = []
+    for short in MODULES:
+        module = importlib.import_module(f"unisplit.{short}")
+        unread += [f"{short}.{name}" for name in getattr(module, "__all__", [])
+                   if inspect.isfunction(getattr(module, name)) and name not in read]
+    assert not unread, f"public functions only the tests call: {unread}"

@@ -445,6 +445,37 @@ def test_phase_cache_keys_on_h_grid_and_dtype(pt64, change):
     assert np.array_equal(got, _reference_split_step(s, grid, v, u, h))
 
 
+@pytest.mark.parametrize("shape", [(32,), (2, 64), ()], ids=["32", "2x64", "scalar"])
+def test_a_potential_of_another_shape_is_refused(pt64, shape):
+    """Every function that takes V takes it of shape (N,) only.  A length-32
+    V raised numpy's broadcast ValueError, and ``observables`` with a
+    (2, 64) V a TypeError."""
+    grid, v, _, _, _ = pt64
+    bad = {(32,): v[::2], (2, 64): np.stack([v, v]), (): v[0]}[shape]
+    u = initial_gaussian(grid)
+    for call in (lambda: split_step(schemes.get_scheme("NB11s6"), grid, bad, u, 0.1),
+                 lambda: observables(grid, bad, u), lambda: rkn_residual(grid, bad, u),
+                 lambda: build_dense_hamiltonian(grid, bad)):
+        with pytest.raises(linalg.DimensionError, match=r"potential of shape \(64,\)"):
+            call()
+
+
+@pytest.mark.parametrize("narrow, wide", [(np.float32, float), (np.float16, float),
+                                          (np.complex64, complex)])
+def test_a_potential_below_double_precision_is_promoted(pt64, narrow, wide):
+    """A float32 V built complex64 phases (NEP 50), so one NB11s6 step
+    differed by 1.2e-7 from the step on the same values in float64; each
+    result now has the bits of the call on the promoted V."""
+    grid, v, _, _, _ = pt64
+    s, u = schemes.get_scheme("NB11s6"), initial_gaussian(grid)
+    v_narrow = v.astype(narrow)
+    v_wide = v_narrow.astype(wide)
+    assert (split_step(s, grid, v_narrow, u, 0.1).tobytes()
+            == split_step(s, grid, v_wide, u, 0.1).tobytes())
+    assert rkn_residual(grid, v_narrow, u) == rkn_residual(grid, v_wide, u)
+    assert observables(grid, v_narrow, u) == observables(grid, v_wide, u)
+
+
 @pytest.mark.parametrize("h", [0.1, 0.4])
 def test_repeated_factors_share_one_phase(pt256, h):
     """Each phase and gain has the bits of its own per-factor build, and the
