@@ -1,9 +1,10 @@
-"""Shared fixtures: small random splits and spectral grids reused across files."""
+"""Shared fixtures: small random splits, spectral grids and the eigenphase
+measure reused across files."""
 
 import numpy as np
 import pytest
 
-from unisplit import experiments, spectral
+from unisplit import experiments, linalg, propagator, spectral
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +14,26 @@ def sym_split():
         matrix_class=experiments.MatrixClass.SYM_SIMPLE, n=10, seed=0
     )
     return experiments.generate(spec)
+
+
+def _eigenphase_errors(scheme, a, b, h_grid):
+    """(errors, ambiguous): per h, the largest distance from an eigenvalue of
+    S_h to its nearest exact phase exp(i h lam), with lam the eigenvalues of
+    the real symmetric A + B; and the h at which some pairing is ambiguous,
+    a second exact phase lying within twice the nearest one's distance."""
+    lam, _ = linalg.eig_symmetric(a + b)
+    omega = linalg.eig_general(propagator.step_matrix(scheme, a, b, h_grid))
+    # dist[k, i, j] = |omega_i - exp(i h_k lam_j)|
+    dist = np.abs(omega[:, :, None] - np.exp(1j * h_grid[:, None, None] * lam))
+    near = dist.min(axis=2)
+    second = np.partition(dist, 1, axis=2)[:, :, 1]
+    return near.max(axis=1), h_grid[(second < 2.0 * near).any(axis=1)].tolist()
+
+
+@pytest.fixture(scope="session")
+def eigenphase_errors():
+    """Criterion 6's measure, eigenphase_errors(scheme, a, b, h_grid)."""
+    return _eigenphase_errors
 
 
 @pytest.fixture(scope="session")

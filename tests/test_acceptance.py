@@ -232,25 +232,11 @@ def test_criterion_05c_generic_split_degradation(report):
            {"slope": slopes})
 
 
-def _eigenphase_errors(scheme, a, b, h_grid):
-    """(errors, ambiguous): per h, the largest distance from an eigenvalue of
-    S_h to its nearest exact phase exp(i h lam), with lam the eigenvalues of
-    the real symmetric A + B; and the h at which some pairing is ambiguous,
-    a second exact phase lying within twice the nearest one's distance."""
-    lam, _ = linalg.eig_symmetric(a + b)
-    omega = linalg.eig_general(propagator.step_matrix(scheme, a, b, h_grid))
-    # dist[k, i, j] = |omega_i - exp(i h_k lam_j)|
-    dist = np.abs(omega[:, :, None] - np.exp(1j * h_grid[:, None, None] * lam))
-    near = dist.min(axis=2)
-    second = np.partition(dist, 1, axis=2)[:, :, 1]
-    return near.max(axis=1), h_grid[(second < 2.0 * near).any(axis=1)].tolist()
-
-
-def test_criterion_06_eigenphase_superconvergence(report):
+def test_criterion_06_eigenphase_superconvergence(report, eigenphase_errors):
     _, a, b = sym_pair(seed=0)
     s31 = schemes.get_scheme("S31")
     h_grid = np.geomspace(0.05, 0.4, 8)
-    phases, ambiguous = _eigenphase_errors(s31, a, b, h_grid)
+    phases, ambiguous = eigenphase_errors(s31, a, b, h_grid)
     phase_slope = propagator.fit_loglog(h_grid, phases).slope
     local_slope = propagator.empirical_order(s31, a, b, h_grid).slope
     ok = (not ambiguous and abs(phase_slope - 5.0) <= 0.3
@@ -260,17 +246,6 @@ def test_criterion_06_eigenphase_superconvergence(report):
            + (f"; pairing ambiguous at h {ambiguous}" if ambiguous else ""),
            {"eigenphase_slope": phase_slope, "local_slope": local_slope,
             **({"ambiguous_h": ambiguous} if ambiguous else {})})
-
-
-def test_eigenphase_errors_scale_and_flag_an_ambiguous_pairing():
-    """Criterion 6's measure: strang's phase error is third order (doubling h
-    multiplies it by about 8), and at h = 3 a second exact phase lies within
-    twice the nearest one's distance, which fails the criterion."""
-    _, a, b = sym_pair(seed=0)
-    errors, ambiguous = _eigenphase_errors(schemes.get_scheme("strang"), a, b,
-                                           np.array([0.02, 0.04, 3.0]))
-    assert errors[1] / errors[0] == pytest.approx(8.0, rel=0.35)
-    assert ambiguous == [3.0]
 
 
 H_CONSERVATION = 100.0 / 909.0

@@ -493,6 +493,23 @@ def test_empirical_order_strang(sym_split):
     assert fit.slope == pytest.approx(3.0, abs=0.3)  # local error ~ h^{p+1}
 
 
+def test_eigenphase_error_scales(sym_split, eigenphase_errors):
+    _, a, b = sym_split
+    errors, _ = eigenphase_errors(schemes.get_scheme("strang"), a, b,
+                                  np.array([0.02, 0.04]))
+    # third-order phase error: doubling h multiplies the error by ~8
+    assert errors[1] / errors[0] == pytest.approx(8.0, rel=0.35)
+
+
+def test_eigenphase_warns_when_pairing_ambiguous(sym_split, eigenphase_errors):
+    # at h = 3 a second exact phase lies within twice the nearest one's
+    # distance; the measure flags that h, which fails criterion 6
+    _, a, b = sym_split
+    _, ambiguous = eigenphase_errors(schemes.get_scheme("strang"), a, b,
+                                     np.array([0.02, 0.04, 3.0]))
+    assert ambiguous == [3.0]
+
+
 def test_fit_window_exclusions(sym_split):
     # huge h lands above the 1e-1 window and must be reported, not fitted
     _, a, b = sym_split
