@@ -275,7 +275,8 @@ def _run_order(cfg: dict, cfg_hash: str) -> _Artifacts:
         for h, e in sorted(zip(fit.h_used, fit.errors)):
             series.add(h, {"error": e})
         yield f"order_{s.name}.csv", _csv(cfg_hash, [
-            f"fitted slope {fit.slope:.17g}", f"excluded h {list(fit.excluded)}"],
+            f"fitted slope {fit.slope:.17g}", f"excluded h {list(fit.excluded)}",
+            *([f"failed h {list(fit.failed)}"] if fit.failed else [])],
             series.to_csv())
         print(f"{s.name}: slope {fit.slope:.3f}")
 

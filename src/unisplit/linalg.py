@@ -75,7 +75,12 @@ def eig_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
     symmetric within `DEFAULT_SYMMETRY_TOL` (relative to the matrix norm).
     """
     a = as_matrix(s)
-    scale = max(float(np.linalg.norm(a)), 1.0)
+    with np.errstate(over="ignore"):  # a finite matrix whose squares overflow
+        norm = float(np.linalg.norm(a))
+    if norm == np.inf:  # rescaled by the largest part of an entry
+        peak = float(np.max(np.abs(a.view(float))))
+        norm = peak * float(np.linalg.norm(a / peak))
+    scale = max(norm, 1.0)
     if np.max(np.abs(a.imag)) > DEFAULT_SYMMETRY_TOL * scale:
         raise DimensionError("matrix has a non-real part beyond tolerance")
     ar = a.real

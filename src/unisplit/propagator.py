@@ -170,6 +170,7 @@ class OrderFit:
     h_used: tuple[float, ...]
     errors: tuple[float, ...]
     excluded: tuple[float, ...]  # h values outside the fit window
+    failed: tuple[float, ...]  # h values whose error is not finite
 
 
 #: Errors kept by `fit_loglog`: above the round-off plateau, inside the
@@ -179,10 +180,11 @@ _FIT_WINDOW = (1e-12, 1e-1)
 
 def fit_loglog(h_values, errors) -> OrderFit:
     """Fit log(error) against log(h) over the points with error inside
-    `_FIT_WINDOW`; the others are reported in ``excluded``."""
+    `_FIT_WINDOW`; the others go to ``excluded``, or to ``failed`` if not finite."""
     h_arr = np.asarray(h_values).astype(float, casting="same_kind")
     e_arr = np.asarray(errors).astype(float, casting="same_kind")
     err_min, err_max = _FIT_WINDOW
+    finite = np.isfinite(e_arr)
     keep = (e_arr >= err_min) & (e_arr <= err_max)
     if keep.sum() < 2:
         raise linalg.NumericalError(
@@ -194,7 +196,8 @@ def fit_loglog(h_values, errors) -> OrderFit:
         slope=float(slope),
         h_used=tuple(map(float, h_arr[keep])),
         errors=tuple(map(float, e_arr[keep])),
-        excluded=tuple(map(float, h_arr[~keep])),
+        excluded=tuple(map(float, h_arr[finite & ~keep])),
+        failed=tuple(map(float, h_arr[~finite])),
     )
 
 
@@ -202,7 +205,7 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
     """Local-error order: slope of log ||S_h - expm(i h H)||_F vs log h.
 
     Points below the round-off plateau (error < 1e-12) or outside the
-    asymptotic window (error > 1e-1) are excluded and reported.
+    asymptotic window (error > 1e-1) are excluded, and overflowed ones failed.
 
     The references expm(i h H) are kept in the split's record, one per h, so
     a sweep of schemes over one split builds each of them once.
@@ -213,7 +216,8 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
         if h not in refs:
             refs[h] = linalg.expm(1j * h * split["H"])
             refs[h].flags.writeable = False
-    errors = [float(np.linalg.norm(s_h - refs[h])) for s_h, h
-              in zip(step_matrix(scheme, split["A"], split["B"], h_arr), hs)]
+    with np.errstate(over="ignore", invalid="ignore"):  # failed, not warned
+        errors = [float(np.linalg.norm(s_h - refs[h])) for s_h, h
+                  in zip(step_matrix(scheme, split["A"], split["B"], h_arr), hs)]
     return fit_loglog(h_arr, errors)
 

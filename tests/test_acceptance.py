@@ -201,6 +201,8 @@ def test_criterion_05b_spectral_orders(report, pt256):
         low, lead = max(norms[:p]), norms[p]
         if fit.excluded:
             failures.append(f"{name} excluded h {list(fit.excluded)}")
+        if fit.failed:  # an overflowed point is not fitted either
+            failures.append(f"{name} failed h {list(fit.failed)}")
         if fit.slope < p + 1 - 0.3:
             failures.append(f"{name} slope {fit.slope:.2f} < {p + 1 - 0.3:.1f}")
         if lead < 1e4 * low:

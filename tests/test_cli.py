@@ -316,28 +316,63 @@ def test_efficiency_records_a_kept_cell_that_blew_up(tmp_path, capsys, h, unstab
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("experiment, header", [
-    ("EFFICIENCY", "# skipped h 1.3: state overflow"),
-    ("CONSERVATION", "# aborted at step 1: state overflow"),
+_S31_AT_1_3 = {"schemes": ["S31"], "grid": {"n": 512}, "h_values": [1.3],
+               "t_final": 2.6}
+
+
+@pytest.mark.parametrize("raw, headers", [
+    pytest.param({"experiment": "EFFICIENCY", **_S31_AT_1_3},
+                 {"efficiency_S31.csv": ["# skipped h 1.3: state overflow"]},
+                 id="EFFICIENCY-# skipped h 1.3: state overflow"),
+    pytest.param({"experiment": "CONSERVATION", **_S31_AT_1_3},
+                 {"conservation_S31.csv": ["# aborted at step 1: state overflow"]},
+                 id="CONSERVATION-# aborted at step 1: state overflow"),
+    # S31 overflows at h = 0.25 on the default grid, S4 at 0.174 too
+    pytest.param({"experiment": "ORDER", "schemes": ["S31", "S4"], "grid": {}},
+                 {"order_S31.csv": ["# excluded h [0.17427639921279242]",
+                                    "# failed h [0.25]"],
+                  "order_S4.csv": ["# excluded h []",
+                                   "# failed h [0.17427639921279242, 0.25]"]},
+                 id="ORDER-grid"),
+    # as in the first two cases, S31's phases overflow at N = 512, h = 1.3
+    pytest.param({"experiment": "ORDER", "schemes": ["S31"], "grid": {"n": 512},
+                  "h_values": [0.02, 0.03, 1.3]},
+                 {"order_S31.csv": ["# excluded h []", "# failed h [1.3]"]},
+                 id="ORDER-grid-phases"),
+    # the step matrix at h = 200 has entries near 1e209, so its error is inf
+    pytest.param({"experiment": "ORDER", "schemes": ["S31"],
+                  "h_values": [0.05, 0.4, 2, 20, 200]},
+                 {"order_S31.csv": ["# excluded h [2.0, 20.0]", "# failed h [200.0]"]},
+                 id="ORDER-matrix"),
 ])
-def test_overflowing_cell_raises_no_numpy_warning(tmp_path, capsys, experiment,
-                                                  header):
+def test_overflowing_cell_raises_no_numpy_warning(tmp_path, capsys, raw, headers):
     # S31's phases overflow at N = 512, h = 1.3; clear the phase cache so
-    # that they are built, and would warn, inside this run
-    raw = {
-        "experiment": experiment,
-        "schemes": ["S31"],
-        "grid": {"n": 512},
-        "h_values": [1.3],
-        "t_final": 2.6,
-    }
+    # that they are built, and would warn, inside this run.  Every cell is
+    # recorded in a header line and the run goes on.
     spectral._factor_phases.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.run(raw, out_dir=str(tmp_path)) == 0
-    lines = (tmp_path / f"{experiment.lower()}_S31.csv").read_text().splitlines()
-    assert sum(line.startswith(header) for line in lines) == 1
+    assert set(headers) <= {p.name for p in tmp_path.iterdir()}
+    for name, expected in headers.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        found = [line for line in lines if line.startswith(tuple(expected))]
+        assert len(found) == len(expected)
+        assert all(map(str.startswith, found, expected))
     capsys.readouterr()
+
+
+def test_order_on_a_grid_whose_matrix_squares_overflow_raises_no_numpy_warning(
+        tmp_path, capsys):
+    # a well depth of -5e300: the dense H is finite but its Frobenius norm
+    # is not; no point of strang is inside the fit window, so the run ends
+    raw = {"experiment": "ORDER", "schemes": ["strang"],
+           "grid": {"n": 8, "alpha": 1e150}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(raw, out_dir=str(tmp_path)) == 3
+    assert "fewer than two points inside the fit window" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_entry_point(tmp_path, capsys):

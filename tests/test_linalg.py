@@ -74,6 +74,20 @@ def test_eig_symmetric_rejects_asymmetric(rng):
         linalg.eig_symmetric(np.eye(3) * (1.0 + 1e-6j))
 
 
+def test_eig_symmetric_of_a_matrix_whose_squares_overflow():
+    # finite entries whose Frobenius norm overflows: the tolerance scale is
+    # the rescaled norm, about 6e300, not inf with numpy's overflow warning
+    s = np.array([[-5e300, 1e300], [1e300, 3e300]])
+    w, q = linalg.eig_symmetric(s)
+    assert np.allclose(q.T @ (s / 1e300) @ q, np.diag(w / 1e300), atol=1e-12)
+    near = s.copy()
+    near[0, 1] *= 1.0 + 1e-14  # asymmetric by 1e286, inside 1e-12 x 6e300
+    linalg.eig_symmetric(near)
+    near[0, 1] = s[0, 1] * (1.0 + 1e-6)  # an inf scale would accept any asymmetry
+    with pytest.raises(linalg.DimensionError, match="asymmetric"):
+        linalg.eig_symmetric(near)
+
+
 def test_eig_general_reports_non_finite_entries_as_numerical_error():
     stack = np.zeros((2, 3, 3))
     stack[1, 0, 2] = np.inf

@@ -523,3 +523,12 @@ def test_fit_requires_two_points():
     with pytest.raises(linalg.NumericalError):
         fit_loglog([0.1, 0.2], [1e-15, 5e-15])
 
+
+def test_fit_reports_a_non_finite_error_as_failed_not_excluded():
+    fit = fit_loglog([0.1, 0.2, 0.3, 0.4, 0.5], [1e-15, 1e-4, 8e-4, np.inf, np.nan])
+    assert fit.h_used == (0.2, 0.3)
+    assert fit.slope == pytest.approx(np.log(8) / np.log(1.5))
+    assert fit.excluded == (0.1,) and fit.failed == (0.4, 0.5)
+    # only finite points inside the window count towards the two a fit needs
+    with pytest.raises(linalg.NumericalError, match="fewer than two points"):
+        fit_loglog([0.1, 0.2, 0.3], [1e-4, np.inf, np.nan])
