@@ -51,9 +51,12 @@ def _split_record(a_shape, a_bytes: bytes, b_shape, b_bytes: bytes) -> dict:
 
     - ``"A"``, ``"B"``, ``"H"``: the validated operators and their sum;
     - ``"bases"[op]``: ``_eigenbasis(op)``, None past the cond guard;
-    - ``"moves"[src, dst]``: M^T, complex, for the transfer matrix
-      M = V_dst^-1 V_src from the eigenbasis of ``src`` to that of ``dst``;
-      None names the identity, the basis of an operator past the guard;
+    - ``"moves"[src, dst]``: for the transfer matrix M = V_dst^-1 V_src from
+      the eigenbasis of ``src`` to that of ``dst``, M^T in the real (2n, 2n)
+      form R that acts on the float view of complex rows:
+      ``x.view(float) @ R`` is ``(x @ M^T).view(float)``, and
+      ``R[0::2].view(complex)`` is M^T itself, bit for bit.  None names the
+      identity, the basis of an operator past the guard;
     - ``"refs"[h]``: expm(i h H), for each h `empirical_order` asked for.
     The key holds the operators' values, not the caller's arrays.  An
     exception is not cached, so an invalid operator raises on every call.
@@ -69,9 +72,10 @@ def _split_record(a_shape, a_bytes: bytes, b_shape, b_bytes: bytes) -> dict:
     if None not in bases.values():
         for src, dst in (("A", "B"), ("B", "A")):
             moves[src, dst] = bases[dst][2] @ bases[src][1]
-    # the operands of step_matrix's GEMMs, complex so that none casts them
-    moves = {key: m.T if m.dtype.kind == "c" else m.T.astype(complex)
-             for key, m in moves.items()}
+    for key, m in list(moves.items()):  # the real form R of each M^T
+        r = moves[key] = np.empty((2 * len(m), 2 * len(m)))
+        r[0::2, 0::2] = r[1::2, 1::2] = m.real.T
+        r[0::2, 1::2], r[1::2, 0::2] = m.imag.T, -m.imag.T
     hm = ops["A"] + ops["B"]
     for arr in (hm, *moves.values(),
                 *(x for basis in bases.values() if basis for x in basis)):
@@ -93,12 +97,13 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     the operator; an operator whose eigenvectors fail the condition guard has
     its factors built by `linalg.expm`, one per h, on every call.
 
-    The product is accumulated transposed, T[i] = S[i]^T, as one (k*n, n)
-    block of rows: a transfer matrix M applies to the whole stack as one
-    GEMM, ``rows @ M^T``, and a factor's row scaling diag(p) S as the column
-    scaling T diag(p).  Every row block of that GEMM has the bits of the same
-    product on that block alone, so a stack equals its scalar calls bit for
-    bit.  The result is the transposed view of T, a fresh writeable array.
+    The product is accumulated transposed, T[i] = S[i]^T: a factor's row
+    scaling diag(p) S is the column scaling T diag(p), and a transfer matrix
+    M applies as T[i] @ M^T, the real GEMM of T[i]'s (n, 2n) float view with
+    the record's R.  Batched matmul issues one GEMM of that shape per h, so a
+    stack equals its scalar calls bit for bit (one GEMM over all k*n rows
+    would not: the BLAS picks its kernel by size).  The result is the
+    transposed view of T, a fresh writeable array.
     """
     split = _split(a, b)
     h_arr = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
@@ -122,15 +127,15 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     # from the first product on, and before that the first move
     shape = (len(ih), n, n)
     bufs = [np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)]
-    rows = [bufs[0].reshape(-1, n), bufs[1].reshape(-1, n)]
+    views = [bufs[0].view(float), bufs[1].view(float)]  # (k, n, 2n) each
     t, i, at = None, 0, None
     for f in (*scheme.factors, None):  # None: the closing move to the identity
         to = None if f is None or bases[f.op] is None else f.op
-        if to != at:  # a move M: one GEMM, rows @ M^T, over all k*n rows
+        if to != at:  # a move M: one real GEMM per h, T[i] @ M^T
             if t is None:
-                t = moves[at, to]
+                t = moves[at, to][0::2].view(complex)
             else:
-                np.matmul(rows[i], moves[at, to], out=rows[1 - i])
+                np.matmul(views[i], moves[at, to], out=views[1 - i])
                 i = 1 - i
                 t = bufs[i]
         if to is not None:  # a column scaling T diag(p), in place in a buffer

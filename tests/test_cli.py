@@ -804,10 +804,10 @@ def test_every_resolved_field_is_read(tmp_path, capsys, monkeypatch, form):
     ({"experiment": "DH_SWEEP", "schemes": ["S31", "S4"],
       "h_values": [0.05, 0.1, 0.2, 0.5, 1.0, 2.0]},
      ["dh_sweep_S31.csv", "dh_sweep_S4.csv"],
-     "dae4f0aaae74dc3cacc9b3ebd041f1de6a2d8b06f43e4d2b58acfe9663f3718e"),
+     "9a2fc0b8c2dcbe91888d24b3750beb7b80371470c89a62e483a5ea1a35cd5571"),
     ({"experiment": "ORDER", "schemes": ["S31", "B5s4"]},
      ["order_B5s4.csv", "order_S31.csv"],
-     "4219bebb1ed8fb219c3b0b94a2eb9ee045dc2842e26796f7aa515a6873af059d"),
+     "a570c3332d6513428fbbb3952d509711f243705624ee4d9b070ea9c16e496bdf"),
     ({"experiment": "ORDER", "schemes": ["NB5s4"], "grid": {"n": 64}},
      ["order_NB5s4.csv"],
      "d55f97135e63a51ef2c4baa7e1887e94611de5681b9295e0f1b1082fd760087f"),

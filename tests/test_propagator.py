@@ -61,12 +61,22 @@ def split_of(cls):
     return experiments.generate(spec)[1:]
 
 
+def real_form_product(t, mt):
+    """t @ mt for a (k, n, n) complex t, as `step_matrix` computes it: the
+    real GEMM of t's float view with the real (2n, 2n) form of mt."""
+    r = np.empty((2 * len(mt), 2 * len(mt)))
+    r[0::2, 0::2] = r[1::2, 1::2] = mt.real
+    r[0::2, 1::2], r[1::2, 0::2] = mt.imag, -mt.imag
+    return (np.ascontiguousarray(t).view(float) @ r).view(complex)
+
+
 def _reference_step_matrix(scheme, a, b, h):
     """The step matrix as built before the transfer matrices were memoised,
     in the transposed order of `step_matrix`: it accumulates T = S^T, every
     change of operator forms M = V_to^-1 V_from again and applies it as
-    T @ M^T, one matrix at a time, every factor takes its own phases p as
-    the column scaling T diag(p), and every product is a fresh array."""
+    T @ M^T (`real_form_product`), one matrix at a time, every factor takes
+    its own phases p as the column scaling T diag(p), and every product is a
+    fresh array."""
     am, bm = linalg.as_matrix(a), linalg.as_matrix(b)
     ops = {"A": am, "B": bm}
     bases = {op: propagator._eigenbasis(m) for op, m in ops.items()}
@@ -78,7 +88,7 @@ def _reference_step_matrix(scheme, a, b, h):
         basis = bases[f.op]
         if basis is None:
             if basis_of is not None:
-                t, basis_of = t @ bases[basis_of][1].T, None
+                t, basis_of = real_form_product(t, bases[basis_of][1].T), None
             e = np.empty((len(z),) + am.shape, dtype=complex)
             for i, zi in enumerate(z):
                 e[i] = linalg.expm(zi * ops[f.op]).T
@@ -87,11 +97,11 @@ def _reference_step_matrix(scheme, a, b, h):
         lam, _, v_inv = basis
         if basis_of != f.op:
             m = v_inv if basis_of is None else v_inv @ bases[basis_of][1]
-            t = m.T if t is None else t @ m.T
+            t = m.T if t is None else real_form_product(t, m.T)
             basis_of = f.op
         t = np.exp(z[:, None] * lam)[:, None, :] * t
     if basis_of is not None:
-        t = t @ bases[basis_of][1].T
+        t = real_form_product(t, bases[basis_of][1].T)
     s = t.transpose(0, 2, 1)
     return s[0] if h_arr.ndim == 0 else s
 
@@ -196,8 +206,7 @@ def layout_splits(rng):
 
 def test_sub_stacks_equal_the_rows_of_the_full_stack(rng):
     """The rows of a stack have the bits of a call on any prefix or suffix
-    of its grid: one GEMM over all k*n rows computes each row block as a
-    product on that block alone would."""
+    of its grid: each h gets its own GEMMs, of one shape whatever the stack."""
     grid = np.geomspace(0.01, 10.0, 64)
     for label, a, b in layout_splits(rng):
         for s in schemes.catalog():
@@ -206,6 +215,22 @@ def test_sub_stacks_equal_the_rows_of_the_full_stack(rng):
                 for part in (slice(None, k), slice(-k, None)):
                     assert_bitwise(step_matrix(s, a, b, grid[part]), full[part],
                                    (label, s.name, k, part))
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_rows_of_a_600_point_stack_equal_its_sub_stacks(n):
+    """The stack contract far past the 28 h of any workload: one GEMM over
+    all k*n rows lets the BLAS change its kernel with k, and fails here;
+    one GEMM per h does not."""
+    grid = np.geomspace(0.01, 10.0, 600)
+    for cls in ("SYM_SIMPLE", "ARBITRARY"):
+        spec = experiments.MatrixClassSpec(experiments.MatrixClass[cls], n=n, seed=0)
+        _, a, b = experiments.generate(spec)
+        for s in schemes.catalog():
+            full = step_matrix(s, a, b, grid)
+            for part in (slice(None, 1), slice(None, 28), slice(-28, None)):
+                assert_bitwise(step_matrix(s, a, b, grid[part]), full[part],
+                               (cls, s.name, part))
 
 
 def test_step_matrix_result_is_writeable_and_any_strides_give_its_eigenvalues(rng):
@@ -347,13 +372,16 @@ def test_memo_entries_are_read_only():
     bases, moves = split["bases"], split["moves"]
     assert split["H"].tobytes() == (a + b).astype(complex).tobytes()
     assert list(split["refs"]) == H_ORDER.tolist()
-    # the moves are kept as M^T: to and from the identity, the transposed
-    # views of V^-1 and V (complex here); the transfers are new arrays
+    # each move M is kept as the real (2n, 2n) form R of M^T, whose even
+    # rows read as complex numbers are M^T: to and from the identity, M is
+    # V^-1 or V; between the bases, V_dst^-1 V_src
     assert set(moves) == {(None, "A"), ("A", None), (None, "B"), ("B", None),
                           ("A", "B"), ("B", "A")}
-    assert moves[None, "A"].base is bases["A"][2]
-    assert moves["B", None].base is bases["B"][1]
-    assert all(m.dtype == complex for m in moves.values())
+    for (src, dst), r in moves.items():
+        m = (bases[dst][2] if src is None else bases[src][1] if dst is None
+             else bases[dst][2] @ bases[src][1])
+        assert r.dtype == np.float64 and r.shape == (2 * len(a),) * 2
+        assert_bitwise(r[0::2].view(complex), m.T.astype(complex), (src, dst))
     arrays = record_arrays(split)
     assert len(arrays) == 3 + len(H_ORDER) + 6 + 6
     for arr in arrays:
