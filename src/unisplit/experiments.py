@@ -9,6 +9,7 @@ platform.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -57,6 +58,8 @@ class MatrixClassSpec:
     multiplicities: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.matrix_class, MatrixClass):
+            raise ValueError(f"unknown matrix class {self.matrix_class!r}")
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
         mult = self.multiplicities
@@ -104,9 +107,6 @@ def generate(spec: MatrixClassSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         h = h if cls is mc.ARBITRARY else _sym(h)
         a = _sym(a) if cls is mc.SYM_SIMPLE else a
         return h, a, h - a
-    if cls not in (mc.REAL_SIMPLE_EIGS, mc.MULTIPLE_EIGS_DIAG,
-                   mc.MULTIPLE_EIGS_NONSYM_SPLIT):
-        raise ValueError(f"unknown matrix class {cls}")
     mult = spec.multiplicities or (1,) * n  # REAL_SIMPLE_EIGS: n simple eigenvalues
     for attempt in range(64):
         rng = _rng(spec, 10 + attempt)
@@ -169,9 +169,7 @@ def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
     """
     series = DiagnosticSeries(abscissa="h", columns=("D_h",))
     failures: list[float] = []
-    h_star = None
-    exceeded = False
-    h_sorted = sorted(float(x) for x in h_grid)
+    h_sorted = np.sort(np.asarray(h_grid).astype(float, casting="same_kind"))
 
     def d_of(m):  # D_h of each matrix of m: a float, or a list for a stack
         return np.max(np.abs(np.abs(linalg.eig_general(m)) - 1.0), axis=-1).tolist()
@@ -179,7 +177,7 @@ def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
     # an overflow, of a step matrix or of its eigenvalues (LAPACK can return
     # inf for a finite matrix), is a non-finite D_h, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = step_matrix(scheme, a, b, np.array(h_sorted))
+        stack = step_matrix(scheme, a, b, h_sorted)
         try:
             d_hs = d_of(stack)
         except linalg.NumericalError:
@@ -190,17 +188,13 @@ def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
                     d_hs.append(d_of(s_h))
                 except linalg.NumericalError:
                     d_hs.append(math.nan)
-    for h, d_h in zip(h_sorted, d_hs):
+    for h, d_h in zip(h_sorted.tolist(), d_hs):
         if not math.isfinite(d_h):
             failures.append(h)
-            continue
-        series.add(h, {"D_h": d_h})
-        if not exceeded:
-            if d_h > DH_THRESHOLD:
-                exceeded = True
-            else:
-                h_star = h
-    series.meta["h_star"] = h_star
+        else:
+            series.add(h, {"D_h": d_h})
+    below = itertools.takewhile(lambda row: row[1] <= DH_THRESHOLD, series.rows)
+    series.meta["h_star"] = max((row[0] for row in below), default=None)
     series.meta["failures"] = failures
     return series
 

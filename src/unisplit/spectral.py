@@ -119,15 +119,14 @@ def _check_length(grid: SpectralGrid, u, stack: bool = False) -> np.ndarray:
 
 
 def _check_potential(grid: SpectralGrid, v_pot) -> np.ndarray:
-    """``v_pot`` as an array of shape (N,), in double precision if it is a
-    float16, float32 or complex64 one: NEP 50 would keep that precision in
-    the phases."""
+    """``v_pot`` as an array of shape (N,), in complex128 if it is complex and
+    in float64 otherwise: NEP 50 would keep a narrower precision in the
+    phases, and a wider one would build complex256 phases."""
     v = np.asarray(v_pot)
     if v.shape != (grid.n,):
         raise linalg.DimensionError(f"expected a potential of shape ({grid.n},), "
                                     f"got {v.shape}")
-    wide = {"e": float, "f": float, "F": complex}.get(v.dtype.char)
-    return v if wide is None else v.astype(wide)
+    return v.astype(complex if v.dtype.kind == "c" else float, copy=False)
 
 
 def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
@@ -213,13 +212,12 @@ def _a_action(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
     return idft(grid, -grid._half_k2 * dft(grid, u))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def _factor_phases(
     scheme: SplittingScheme,
     grid: SpectralGrid,
     h: float,
     v_dtype: str,
-    v_shape: tuple[int, ...],
     v_bytes: bytes,
 ) -> tuple[tuple[str, complex, np.ndarray, float], ...]:
     """(op, coeff, phase, gain) for each factor of ``scheme``; phases are
@@ -230,10 +228,12 @@ def _factor_phases(
     product, not ``m**2``, so that a huge ``m`` gives ``inf`` instead of
     raising ``OverflowError``.
 
-    The potential arrives as its dtype, shape and bytes so that the cache
-    key holds its values, not the identity of the caller's array.
+    The potential arrives as its dtype and bytes so that the cache key holds
+    its values, not the identity of the caller's array.  The key is typed,
+    so that a complex ``h`` cannot hit the entry of an equal real one.
     """
-    v_pot = np.frombuffer(v_bytes, dtype=v_dtype).reshape(v_shape)
+    h = np.asarray(h).astype(float, casting="same_kind")
+    v_pot = np.frombuffer(v_bytes, dtype=v_dtype)
     k2 = grid._half_k2
     built = {}
     for f in scheme.factors:
@@ -262,8 +262,8 @@ def split_step(
     there and transforms it back into the state; a B-factor multiplies the
     state in place.
 
-    The phases of all factors are built once per (scheme, grid, h, values,
-    dtype and shape of ``v_pot``), and only the most recent such set is kept:
+    The phases of all factors are built once per (scheme, grid, h, values
+    and dtype of ``v_pot``), and only the most recent such set is kept:
     every caller steps one key many times in a row.  Changing ``v_pot`` in
     place therefore yields fresh phases.
 
@@ -302,8 +302,7 @@ def split_step(
     state = np.array(_check_length(grid, u))
     spare = np.empty_like(state)
     v_pot = _check_potential(grid, v_pot)
-    phases = _factor_phases(scheme, grid, h, v_pot.dtype.str, v_pot.shape,
-                            v_pot.tobytes())
+    phases = _factor_phases(scheme, grid, h, v_pot.dtype.str, v_pot.tobytes())
     bound = float(np.vdot(state, state).real) * _NORM2_MARGIN
     for op, c, phase, gain in phases:
         if op == "A":
@@ -372,7 +371,7 @@ def build_dense_hamiltonian(
     if np.max(np.abs(a.imag)) > 1e-12 * max(np.max(np.abs(a.real)), 1.0):
         raise linalg.NumericalError("kinetic matrix has unexpected imaginary part")
     a = a.real
-    b = np.diag(-np.asarray(_check_potential(grid, v_pot), dtype=float))
+    b = np.diag(-_check_potential(grid, v_pot).astype(float, casting="same_kind"))
     return a, b, a + b
 
 
@@ -386,16 +385,17 @@ def pt_empirical_order(
     the exact flow Q diag(e^{i h lam}) Q^T u0 of the dense H = Q diag(lam) Q^T,
     which is diagonalised once for the whole grid.  A step that overflows has
     an infinite error, which the fit reports as a failed h."""
+    h_arr = np.asarray(h_grid).astype(float, casting="same_kind")
     u = initial_gaussian(grid)
     _, _, h_dense = build_dense_hamiltonian(grid, v_pot)
     lam, q = linalg.eig_symmetric(h_dense)
     qu = q.T @ u
     errors = []
     with np.errstate(over="ignore", invalid="ignore"):  # split_step checks it
-        for h in map(float, h_grid):
+        for h in h_arr.tolist():
             try:
                 errors.append(grid.norm(split_step(scheme, grid, v_pot, u, h)
                                         - q @ (np.exp(1j * h * lam) * qu)))
             except linalg.NumericalError:
                 errors.append(math.inf)
-    return fit_loglog(h_grid, errors)
+    return fit_loglog(h_arr, errors)

@@ -89,6 +89,13 @@ def test_multiplicities_that_would_be_ignored_or_are_below_one_are_refused(
         spec_of(cls, multiplicities=mult)
 
 
+@pytest.mark.parametrize("cls", ["SYM_SIMPLE", None])
+def test_a_matrix_class_that_is_not_a_member_is_refused(cls):
+    """A class name or None raised AttributeError on ``.name``."""
+    with pytest.raises(ValueError, match="unknown matrix class"):
+        MatrixClassSpec(cls)
+
+
 def test_seeds_up_to_2_64_draw_distinct_matrices():
     """The Philox key is a uint64 pair: seeds from 2**63 up are not rounded
     to a float (2**63 and 2**63 + 1 drew the same H, 2**64 - 1 drew seed 0's

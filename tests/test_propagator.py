@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from unisplit import experiments, linalg, propagator, schemes
+from unisplit import experiments, linalg, propagator, schemes, spectral
 from unisplit.propagator import (
     OrderFit,
     empirical_order,
@@ -450,19 +450,52 @@ def test_step_matrix_rejects_2d_h(sym_split):
         step_matrix(schemes.get_scheme("S31"), a, b, np.ones((2, 2)))
 
 
+def pt16():
+    """(grid, V, u0): the Poeschl-Teller well and Gaussian on 16 points."""
+    grid = spectral.SpectralGrid(n=16)
+    return grid, spectral.pt_potential(grid), spectral.initial_gaussian(grid)
+
+
+def without_calls(names, call, *args):
+    """``call(*args)``; the test fails if it calls one of ``spectral``'s
+    functions ``names``, whether it returns or raises."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(spectral, name, lambda *_, name=name: calls.append(name))
+        try:
+            return call(*args)
+        finally:
+            assert not calls, f"{call.__name__} called {calls} on a complex h"
+
+
 @pytest.mark.parametrize("call", [
     lambda s, a, b: empirical_order(s, a, b, H_ORDER * (1.0 + 0.1j)),
     lambda s, a, b: fit_loglog(H_ORDER * (1.0 + 0.1j), H_ORDER**4),
     lambda s, a, b: fit_loglog(H_ORDER, H_ORDER**4 * (1.0 + 0.1j)),
     lambda s, a, b: reversibility_report(s, a, b, 0.1 + 0.1j),
     lambda s, a, b: reversibility_report(s, a, b, np.complex128(0.1 + 0.1j)),
+    lambda s, a, b: experiments.dh_sweep(s, a, b, H_SWEEP * (1.0 + 0.1j)),
+    lambda s, a, b: experiments.dh_sweep(s, a, b, np.array([0.1 + 0j])),
+    lambda s, a, b: [spectral.split_step(s, *pt16(), h)
+                     for h in (0.1, np.complex128(0.1))],
+    lambda s, a, b: experiments.conservation_run(s, *pt16(),
+                                                 np.complex128(0.1 + 0.05j), 10),
+    lambda s, a, b: without_calls(("build_dense_hamiltonian", "split_step"),
+                                  spectral.pt_empirical_order, s, *pt16()[:2],
+                                  H_ORDER * (1.0 + 0.1j)),
 ], ids=["empirical_order",
         "fit_loglog_h", "fit_loglog_errors", "reversibility_report",
-        "reversibility_report_numpy_scalar"])
+        "reversibility_report_numpy_scalar", "dh_sweep", "dh_sweep_zero_imaginary_part",
+        "split_step_after_the_equal_real_h", "conservation_run", "pt_empirical_order"])
 def test_a_complex_h_is_refused_where_only_a_real_h_makes_sense(sym_split, call):
     """``step_matrix`` takes a complex step (criterion 5b's Taylor check
     uses it); the real-h diagnostics raise on one, also where warnings are
-    ignored, rather than drop its imaginary part with a ComplexWarning."""
+    ignored, rather than drop its imaginary part with a ComplexWarning.
+    ``split_step`` refuses one also right after a step at the equal real h,
+    whose phases are cached, and ``pt_empirical_order`` before it builds
+    the dense H or takes a step.  ``tests/test_public_api.py`` checks that
+    every public function that takes an h has a case here."""
     _, a, b = sym_split
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -65,10 +65,10 @@ def test_module_reads_no_private_names_of_another(short):
     assert not private, f"unisplit.{short} reads private names: {private}"
 
 
-def _names_read(path: Path) -> set[str]:
-    """Every name the file at ``path`` reads, bare or as an attribute."""
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name read under ``tree``, bare or as an attribute."""
     return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(path.read_text()))
+            for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))
             and isinstance(node.ctx, ast.Load)}
 
@@ -78,10 +78,31 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     benchmark, not only by the tests; classes and exceptions are exempt."""
     files = [*SOURCE.glob("*.py"), *PERFBENCH.glob("*.py")]
     assert any(p.parent == PERFBENCH for p in files), "perfbench/ not found"
-    read = set().union(*map(_names_read, files))
+    read = set().union(*(_names_read(ast.parse(p.read_text())) for p in files))
     unread = []
     for short in MODULES:
         module = importlib.import_module(f"unisplit.{short}")
         unread += [f"{short}.{name}" for name in getattr(module, "__all__", [])
                    if inspect.isfunction(getattr(module, name)) and name not in read]
     assert not unread, f"public functions only the tests call: {unread}"
+
+
+def test_every_public_function_of_a_real_h_refuses_a_complex_one():
+    """A function in a module's ``__all__`` with a parameter ``h``, ``h_grid``
+    or ``h_values`` is named in a case of the complex-h refusal test, so that
+    it reads its h by the one rule.  ``propagator.step_matrix`` is exempt: it
+    takes a complex step, which criterion 5b's Taylor check uses."""
+    tree = ast.parse(Path(__file__).with_name("test_propagator.py").read_text())
+    test = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("test_a_complex_h_is_refused"))
+    cases = set().union(*map(_names_read, test.decorator_list))
+    takes_h = []
+    for short in MODULES:
+        module = importlib.import_module(f"unisplit.{short}")
+        takes_h += [f"{short}.{name}" for name in getattr(module, "__all__", [])
+                    if inspect.isfunction(f := getattr(module, name))
+                    and {"h", "h_grid", "h_values"}
+                    & inspect.signature(f).parameters.keys()]
+    takes_h.remove("propagator.step_matrix")  # a ValueError if it is gone
+    missing = [q for q in takes_h if q.split(".")[1] not in cases]
+    assert not missing, f"no complex-h refusal case for {missing}"

@@ -370,7 +370,7 @@ def test_overflowing_gain_matches_reference():
     grid = SpectralGrid(n=512)
     v = pt_potential(grid)
     s = schemes.get_scheme("S4")
-    phases = spectral._factor_phases(s, grid, 0.4, v.dtype.str, v.shape, v.tobytes())
+    phases = spectral._factor_phases(s, grid, 0.4, v.dtype.str, v.tobytes())
     assert any(np.isinf(gain) for *_, gain in phases)
     got = _run(split_step, s, grid, v, 0.4, 5)
     assert got[2] is not None
@@ -461,11 +461,14 @@ def test_a_potential_of_another_shape_is_refused(pt64, shape):
 
 
 @pytest.mark.parametrize("narrow, wide", [(np.float32, float), (np.float16, float),
-                                          (np.complex64, complex)])
+                                          (np.complex64, complex),
+                                          (np.longdouble, float), (np.int64, float)])
 def test_a_potential_below_double_precision_is_promoted(pt64, narrow, wide):
     """A float32 V built complex64 phases (NEP 50), so one NB11s6 step
-    differed by 1.2e-7 from the step on the same values in float64; each
-    result now has the bits of the call on the promoted V."""
+    differed by 1.2e-7 from the step on the same values in float64, and a
+    longdouble V built complex256 phases; each result now has the bits of
+    the call on the V read as float64 or complex128.  An integer V keeps
+    the bits it had before it was read as float64."""
     grid, v, _, _, _ = pt64
     s, u = schemes.get_scheme("NB11s6"), initial_gaussian(grid)
     v_narrow = v.astype(narrow)
@@ -484,7 +487,7 @@ def test_repeated_factors_share_one_phase(pt256, h):
     k2 = grid.k**2 / 2.0
     for s in ALL_SCHEMES:
         spectral._factor_phases.cache_clear()
-        phases = spectral._factor_phases(s, grid, h, v.dtype.str, v.shape, v.tobytes())
+        phases = spectral._factor_phases(s, grid, h, v.dtype.str, v.tobytes())
         assert [(op, c) for op, c, _, _ in phases] == [(f.op, f.coeff) for f in s.factors]
         first = {}
         for op, c, phase, gain in phases:
@@ -500,7 +503,7 @@ def test_cached_arrays_are_read_only(pt64):
     grid, v, _, _, _ = pt64
     s = schemes.get_scheme("strang")
     split_step(s, grid, v, initial_gaussian(grid), 0.1)
-    phases = spectral._factor_phases(s, grid, 0.1, v.dtype.str, v.shape, v.tobytes())
+    phases = spectral._factor_phases(s, grid, 0.1, v.dtype.str, v.tobytes())
     assert all(not phase.flags.writeable for _, _, phase, _ in phases)
     assert all(gain == np.max(np.abs(phase)) ** 2 * (1 + 1e-9)
                for _, _, phase, gain in phases)
@@ -606,6 +609,20 @@ def test_dense_hamiltonian_equals_column_loop(n):
 def test_dense_assembly_size_guard():
     with pytest.raises(ValueError):
         build_dense_hamiltonian(SpectralGrid(n=2048), np.zeros(2048))
+
+
+def test_the_dense_oracle_refuses_a_complex_potential(pt64):
+    """The dense H is real: a complex V lost Im V with a ComplexWarning, also
+    in the PT order fit that diagonalises it."""
+    grid, v, _, _, _ = pt64
+    v_complex = v * (1 + 0.5j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for call in (lambda: build_dense_hamiltonian(grid, v_complex),
+                     lambda: pt_empirical_order(schemes.get_scheme("strang"), grid,
+                                                v_complex, np.geomspace(0.05, 0.4, 8))):
+            with pytest.raises(TypeError, match="cast .*complex"):
+                call()
 
 
 def test_pt_empirical_order_errors_against_expm(pt64):
