@@ -220,8 +220,10 @@ def _factor_phases(
     v_dtype: str,
     v_bytes: bytes,
 ) -> tuple[tuple[str, complex, np.ndarray, float], ...]:
-    """(op, coeff, phase, gain) for each factor of ``scheme``; phases are
-    read-only, and factors with equal (op, coeff) share one phase and gain.
+    """(op, coeff, phase, gain) for each factor of ``scheme``; factors with
+    equal (op, coeff) share one phase and gain.  The k distinct phases are
+    the rows of one read-only (k, N) array, built by one ``np.exp`` with the
+    bits of k per-factor builds.
 
     ``gain = m*m*(1 + 1e-9)`` with ``m = max|phase|`` bounds the factor's
     growth of the squared norm (see :func:`split_step`).  It is a float
@@ -234,14 +236,14 @@ def _factor_phases(
     """
     h = np.asarray(h).astype(float, casting="same_kind")
     v_pot = np.frombuffer(v_bytes, dtype=v_dtype)
-    k2 = grid._half_k2
-    built = {}
-    for f in scheme.factors:
-        if (f.op, f.coeff) not in built:
-            phase = np.exp(-1j * h * f.coeff * (k2 if f.op == "A" else v_pot))
-            phase.flags.writeable = False
-            m = float(np.max(np.abs(phase)))
-            built[f.op, f.coeff] = phase, m * m * _NORM2_MARGIN
+    keys = dict.fromkeys((f.op, f.coeff) for f in scheme.factors)
+    phases = np.empty((len(keys), grid.n), dtype=complex)
+    for row, (op, c) in zip(phases, keys):
+        np.multiply(-1j * h * c, grid._half_k2 if op == "A" else v_pot, out=row)
+    np.exp(phases, out=phases)
+    phases.flags.writeable = False
+    peaks = np.max(np.abs(phases), axis=1).tolist()
+    built = {key: (row, m * m * _NORM2_MARGIN) for key, row, m in zip(keys, phases, peaks)}
     return tuple([(f.op, f.coeff, *built[f.op, f.coeff]) for f in scheme.factors])
 
 

@@ -482,7 +482,9 @@ def test_a_potential_below_double_precision_is_promoted(pt64, narrow, wide):
 @pytest.mark.parametrize("h", [0.1, 0.4])
 def test_repeated_factors_share_one_phase(pt256, h):
     """Each phase and gain has the bits of its own per-factor build, and the
-    factors with equal (op, coeff) share one array."""
+    factors with equal (op, coeff) share one array.  A build's distinct
+    phases are the rows, in order of first use, of one read-only
+    (k, N) array."""
     grid, v = pt256
     k2 = grid.k**2 / 2.0
     for s in ALL_SCHEMES:
@@ -497,6 +499,10 @@ def test_repeated_factors_share_one_phase(pt256, h):
             assert gain == m * m * (1 + 1e-9)
             assert phase is first.setdefault((op, c), phase)
         assert len({id(phase) for _, _, phase, _ in phases}) == len(first)
+        table = phases[0][2].base
+        assert table.shape == (len(first), grid.n) and not table.flags.writeable
+        for i, phase in enumerate(first.values()):
+            assert phase.base is table and np.shares_memory(phase, table[i])
 
 
 def test_cached_arrays_are_read_only(pt64):
