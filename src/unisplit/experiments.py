@@ -144,20 +144,6 @@ class DiagnosticSeries:
             raise ValueError(f"non-finite diagnostic value at {self.abscissa}={x}")
         self.rows.append(row)
 
-    def add_rows(self, x, values: dict[str, np.ndarray]) -> None:
-        """``add`` of each row of a block: ``x`` and each column of ``values``
-        hold one entry per row.  ``add``'s two checks are made once for the
-        whole block; a block that fails them is added row by row, so that
-        ``add`` raises its own message at the first row it refuses."""
-        table = np.array([x, *(values[c] for c in self.columns)], dtype=float).T
-        t = table[:, 0]
-        if (np.isfinite(table).all() and (t[1:] > t[:-1]).all()
-                and not (self.rows and t[0] <= self.rows[-1][0])):
-            self.rows.extend(map(tuple, table.tolist()))
-        else:
-            for row in table.tolist():
-                self.add(row[0], dict(zip(self.columns, row[1:])))
-
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name) + 1
         return np.array([r[idx] for r in self.rows])
@@ -237,8 +223,7 @@ def conservation_run(
 
     Sampled states are copied into a block (at most ``_BLOCK_ROWS`` rows and
     ``_BLOCK_BYTES`` bytes) that one stacked ``observables`` call evaluates
-    when full and at the end; each row has the bits of a single call, and
-    the block's rows enter the series in one ``add_rows``.
+    when full and at the end; each row has the bits of a single call.
     ``n_steps`` and ``sample_every`` are integers >= 1 and ``h`` is finite
     and > 0, or a ValueError before any step; a complex ``h`` is a
     TypeError.
@@ -260,10 +245,9 @@ def conservation_run(
 
     def observe():
         obs = spectral.observables(grid, v_pot, block[:len(pending)])
-        steps, counts = zip(*pending)
-        series.add_rows(np.array(steps) * h, {
-            "mass_err": np.abs(obs["mass"] - obs0["mass"]), "fft_count": counts,
-            "energy_err": np.abs(obs["energy"] - obs0["energy"])})
+        for (n, count), mass, energy in zip(pending, obs["mass"], obs["energy"]):
+            series.add(n * h, {"mass_err": abs(mass - obs0["mass"]), "fft_count": count,
+                               "energy_err": abs(energy - obs0["energy"])})
         pending.clear()
 
     u = u0

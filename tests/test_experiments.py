@@ -186,46 +186,6 @@ class TestDiagnosticSeries:
                 s.add(x, {"e": e})
         assert s.rows == []
 
-    def test_add_rows_stores_the_rows_of_one_add_per_row(self):
-        """A block added at once holds the Python floats, bit for bit, of
-        one ``add`` per row, after rows already stored."""
-        x = np.array([1, 2, 3, 5]) * 0.1
-        mass = np.abs(np.array([1e-17, -3e-16, 2.5e-15, 7e-14]) - 0.1)
-        counts = (4, 8, 12, 20)
-        one, bulk = (DiagnosticSeries("t", ("m", "c")) for _ in range(2))
-        for s in (one, bulk):
-            s.add(0.05, {"m": 0.0, "c": 0})
-        for xi, m, c in zip(x.tolist(), mass, counts):
-            one.add(xi, {"m": m, "c": c})
-        bulk.add_rows(x, {"m": mass, "c": counts})
-        assert bulk.rows == one.rows and bulk.to_csv() == one.to_csv()
-        assert all(type(v) is float for row in bulk.rows for v in row)
-
-    @pytest.mark.parametrize("x, e, message", [
-        ([0.3, 0.4], [1.0, 1.0], "abscissa must be strictly increasing"),
-        ([0.2, 0.4], [1.0, 1.0], "abscissa must be strictly increasing"),
-        ([0.4, 0.4], [1.0, 1.0], "abscissa must be strictly increasing"),
-        ([0.5, 0.45, 0.6], [1.0, np.nan, 1.0], "abscissa must be strictly increasing"),
-        ([0.4, 0.5], [1.0, np.inf], "non-finite diagnostic value at h=0.5"),
-        ([0.4, np.nan], [1.0, 1.0], "non-finite diagnostic value at h=nan"),
-        ([0.4, 0.5, 0.45], [np.nan, 1.0, 1.0], "non-finite diagnostic value at h=0.4"),
-    ], ids=["first_below_last", "first_below_stored", "repeated", "falls_first",
-            "inf_value", "nan_abscissa", "nonfinite_first"])
-    def test_add_rows_raises_the_message_of_the_first_row_add_refuses(self, x, e,
-                                                                      message):
-        """``add_rows`` raises ``add``'s message at the first row that ``add``
-        refuses, and keeps the rows before it, as ``add`` per row does."""
-        one, bulk = (DiagnosticSeries("h", ("e",)) for _ in range(2))
-        for s in (one, bulk):
-            s.add(0.2, {"e": 1.0})
-            s.add(0.3, {"e": 1.0})
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            for xi, ei in zip(x, e):
-                one.add(xi, {"e": ei})
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            bulk.add_rows(np.array(x), {"e": np.array(e)})
-        assert bulk.rows == one.rows
-
     def test_csv_layout(self):
         s = DiagnosticSeries(abscissa="h", columns=("e",))
         s.add(0.5, {"e": 3.0})
