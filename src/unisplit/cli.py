@@ -29,7 +29,7 @@ def _geomspace(lo: float, hi: float, points: int) -> list[float]:
     return [float(h) for h in np.geomspace(lo, hi, points)]
 
 
-_SCHEME_NAMES = schemes.catalog_names()
+_SCHEME_NAMES = [s.name for s in schemes.catalog()]
 _COMMON = {"experiment": None}
 _GRID = {"n": 256, "x_min": -8.0, "x_max": 8.0, "alpha": 1.0, "lam_prod": 10.0}
 _MATRIX = {"class": "SYM_SIMPLE", "n": 10, "multiplicities": None}

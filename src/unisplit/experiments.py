@@ -169,7 +169,7 @@ def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
     """
     series = DiagnosticSeries(abscissa="h", columns=("D_h",))
     failures: list[float] = []
-    h_sorted = np.sort(np.asarray(h_grid).astype(float, casting="same_kind"))
+    h_sorted = np.sort(linalg.as_steps(h_grid))
 
     def d_of(m):  # D_h of each matrix of m: a float, or a list for a stack
         return np.max(np.abs(np.abs(linalg.eig_general(m)) - 1.0), axis=-1).tolist()
@@ -231,8 +231,7 @@ def conservation_run(
     for key, k in (("n_steps", n_steps), ("sample_every", sample_every)):
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {k!r}")
-    if not 0.0 < np.asarray(h).astype(float, casting="same_kind") < math.inf:
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
+    linalg.as_steps(h)
     counter = spectral.FftCounter()
     obs0 = spectral.observables(grid, v_pot, u0)
     series = DiagnosticSeries(
@@ -275,7 +274,9 @@ def conservation_run(
 
 
 def drift_slope(series: DiagnosticSeries, column: str) -> float:
-    """Ordinary least-squares slope of an error column against step index."""
+    """Least-squares slope of an error column against the abscissa, from 2+ rows."""
+    if len(series.rows) < 2:
+        raise ValueError(f"a slope needs two rows or more, got {len(series.rows)}")
     y = series.column(column)
     x = series.x
     slope, _ = np.polyfit(x, y, 1)

@@ -43,6 +43,16 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+# not in __all__: the benchmark's tracer would time each call as a layer
+def as_steps(h) -> np.ndarray:
+    """``h``, a real step size or an array of them, as float64, every value
+    finite and > 0, or a ValueError; a complex ``h`` is a TypeError."""
+    a = np.asarray(h).astype(float, casting="same_kind")
+    if not (np.isfinite(a) & (a > 0.0)).all():
+        raise ValueError(f"h must be finite and > 0, got {h!r}")
+    return a
+
+
 def expm(m) -> np.ndarray:
     """Matrix exponential e^M (scaling-and-squaring with Pade approximants)."""
     return scipy.linalg.expm(as_matrix(m))

@@ -160,8 +160,8 @@ def reversibility_report(
     ``sc3_residual`` = ||conj(S_h)^T - S_{-h}||_F (meaningful when A and B are
     real symmetric; reported unconditionally as a diagnostic).
     """
-    hs = np.array([h, -h]).astype(float, casting="same_kind")
-    s_h, s_back = step_matrix(scheme, a, b, hs)
+    h = linalg.as_steps(h)
+    s_h, s_back = step_matrix(scheme, a, b, np.array([h, -h]))
     sc2 = float(np.linalg.norm(s_h.conj() @ s_h - np.eye(s_h.shape[0])))
     sc3 = float(np.linalg.norm(s_h.conj().T - s_back))
     return {"sc2_residual": sc2, "sc3_residual": sc3}
@@ -186,8 +186,10 @@ _FIT_WINDOW = (1e-12, 1e-1)
 def fit_loglog(h_values, errors) -> OrderFit:
     """Fit log(error) against log(h) over the points with error inside
     `_FIT_WINDOW`; the others go to ``excluded``, or to ``failed`` if not finite."""
-    h_arr = np.asarray(h_values).astype(float, casting="same_kind")
+    h_arr = linalg.as_steps(h_values)
     e_arr = np.asarray(errors).astype(float, casting="same_kind")
+    if h_arr.shape != e_arr.shape:
+        raise ValueError(f"h_values of shape {h_arr.shape}, errors {e_arr.shape}")
     err_min, err_max = _FIT_WINDOW
     finite = np.isfinite(e_arr)
     keep = (e_arr >= err_min) & (e_arr <= err_max)
@@ -215,7 +217,8 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
     The references expm(i h H) are kept in the split's record, one per h, so
     a sweep of schemes over one split builds each of them once.
     """
-    split, h_arr = _split(a, b), np.asarray(h_grid).astype(float, casting="same_kind")
+    h_arr = linalg.as_steps(h_grid)
+    split = _split(a, b)
     refs, hs = split["refs"], h_arr.reshape(-1).tolist()
     for h in hs:
         if h not in refs:

@@ -22,7 +22,6 @@ __all__ = [
     "ValidationReport",
     "SchemeError",
     "catalog",
-    "catalog_names",
     "get_scheme",
     "validate",
     "drift_comparator",
@@ -378,13 +377,9 @@ def catalog() -> list[SplittingScheme]:
     return list(_by_name().values())
 
 
-def catalog_names() -> list[str]:
-    return list(_by_name())
-
-
 def get_scheme(name: str) -> SplittingScheme:
     try:
         return _by_name()[name]
     except KeyError:
-        names = catalog_names()
+        names = list(_by_name())
         raise KeyError(f"unknown scheme {name!r}; available: {names}") from None

@@ -234,7 +234,7 @@ def _factor_phases(
     its values, not the identity of the caller's array.  The key is typed,
     so that a complex ``h`` cannot hit the entry of an equal real one.
     """
-    h = np.asarray(h).astype(float, casting="same_kind")
+    h = linalg.as_steps(h)
     v_pot = np.frombuffer(v_bytes, dtype=v_dtype)
     keys = dict.fromkeys((f.op, f.coeff) for f in scheme.factors)
     phases = np.empty((len(keys), grid.n), dtype=complex)
@@ -387,7 +387,7 @@ def pt_empirical_order(
     the exact flow Q diag(e^{i h lam}) Q^T u0 of the dense H = Q diag(lam) Q^T,
     which is diagonalised once for the whole grid.  A step that overflows has
     an infinite error, which the fit reports as a failed h."""
-    h_arr = np.asarray(h_grid).astype(float, casting="same_kind")
+    h_arr = linalg.as_steps(h_grid)
     u = initial_gaussian(grid)
     _, _, h_dense = build_dense_hamiltonian(grid, v_pot)
     lam, q = linalg.eig_symmetric(h_dense)

@@ -436,6 +436,17 @@ def test_drift_slope_recovers_linear_trend():
     assert drift_slope(s, "e") == pytest.approx(3e-8, rel=1e-6)
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_drift_slope_needs_two_rows(rows):
+    """One row returned its value with numpy's RankWarning, and none raised
+    numpy's TypeError; a line needs two points."""
+    s = DiagnosticSeries(abscissa="t", columns=("e",))
+    for t in (0.5,)[:rows]:
+        s.add(t, {"e": 1e-3})
+    with pytest.raises(ValueError, match=f"^a slope needs two rows or more, got {rows}$"):
+        drift_slope(s, "e")
+
+
 def test_dh_sweep_records_overflowed_step_matrices():
     """S4's step matrix of the ARBITRARY draw has non-finite entries at
     h = 200; the point is a failure and the other points keep their values."""

@@ -457,16 +457,21 @@ def pt16():
 
 
 def without_calls(names, call, *args):
-    """``call(*args)``; the test fails if it calls one of ``spectral``'s
-    functions ``names``, whether it returns or raises."""
+    """``call(*args)``; the test fails if it calls one of the functions
+    ``names`` of ``spectral``, ``propagator`` or ``experiments`` (each is
+    replaced wherever one of these modules binds it), whether it returns or
+    raises."""
     calls = []
+    bound = [(module, name) for name in names
+             for module in (spectral, propagator, experiments) if hasattr(module, name)]
+    assert {name for _, name in bound} == set(names), "a name no module binds"
     with pytest.MonkeyPatch.context() as mp:
-        for name in names:
-            mp.setattr(spectral, name, lambda *_, name=name: calls.append(name))
+        for module, name in bound:
+            mp.setattr(module, name, lambda *_, name=name: calls.append(name))
         try:
             return call(*args)
         finally:
-            assert not calls, f"{call.__name__} called {calls} on a complex h"
+            assert not calls, f"{call.__name__} called {calls} on an h it refuses"
 
 
 @pytest.mark.parametrize("call", [
@@ -501,6 +506,62 @@ def test_a_complex_h_is_refused_where_only_a_real_h_makes_sense(sym_split, call)
         warnings.simplefilter("ignore")
         with pytest.raises(TypeError, match="cast .*complex"):
             call(schemes.get_scheme("S31"), a, b)
+
+
+def grid_with(bad):
+    """H_ORDER with its third entry replaced by ``bad``."""
+    h = H_ORDER.copy()
+    h[2] = bad
+    return h
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1])
+@pytest.mark.parametrize("case", [
+    lambda s, a, b, h: (empirical_order, s, a, b, grid_with(h)),
+    lambda s, a, b, h: (empirical_order, s, a, b, h),
+    lambda s, a, b, h: (fit_loglog, grid_with(h), H_ORDER**4),
+    lambda s, a, b, h: (fit_loglog, h, 1e-3),
+    lambda s, a, b, h: (spectral.pt_empirical_order, s, *pt16()[:2], grid_with(h)),
+    lambda s, a, b, h: (spectral.pt_empirical_order, s, *pt16()[:2], h),
+    lambda s, a, b, h: (experiments.dh_sweep, s, a, b, grid_with(h)),
+    lambda s, a, b, h: (experiments.dh_sweep, s, a, b, h),
+    lambda s, a, b, h: (reversibility_report, s, a, b, h),
+    lambda s, a, b, h: (spectral.split_step, s, *pt16(), h),
+    lambda s, a, b, h: (experiments.conservation_run, s, *pt16(), h, 10),
+], ids=["empirical_order", "empirical_order_scalar", "fit_loglog", "fit_loglog_scalar",
+        "pt_empirical_order", "pt_empirical_order_scalar", "dh_sweep", "dh_sweep_scalar",
+        "reversibility_report", "split_step", "conservation_run"])
+def test_an_h_that_is_not_finite_and_positive_is_refused_before_any_work(
+        sym_split, capfd, case, bad):
+    """Each public function of a real h reads it with ``linalg.as_steps``:
+    an h of nan, inf, 0 or -0.1, alone or as one entry of a grid, is its
+    ValueError before any step, step matrix, dense H or FFT, and nothing is
+    printed.  Before, ``fit_loglog`` raised numpy's LinAlgError after
+    LAPACK printed parameter errors, ``split_step`` blamed a state
+    overflow or took a zero or backward step, ``reversibility_report``
+    returned NaN residuals, ``dh_sweep`` recorded failed h or rows and the
+    order fits returned slopes.  ``tests/test_public_api.py`` checks that
+    every public function that takes an h has a case here."""
+    _, a, b = sym_split
+    call, *args = case(schemes.get_scheme("S31"), a, b, bad)
+    with pytest.raises(ValueError, match=r"^h must be finite and > 0, got "):
+        without_calls(("step_matrix", "split_step", "build_dense_hamiltonian", "dft"),
+                      call, *args)
+    assert capfd.readouterr().out == ""
+
+
+def test_reversibility_report_of_two_h_is_a_dimension_error(sym_split):
+    """``[h, -h]`` of a two-entry h is a 2-D h, which ``step_matrix``
+    refuses, not S_{h0} paired with S_{-h1}."""
+    _, a, b = sym_split
+    with pytest.raises(linalg.DimensionError):
+        reversibility_report(schemes.get_scheme("S31"), a, b, np.array([0.1, 0.2]))
+
+
+def test_fit_loglog_refuses_h_and_errors_of_different_shapes():
+    """Eight h and seven errors raised numpy's IndexError from the mask."""
+    with pytest.raises(ValueError, match=r"^h_values of shape \(8,\), errors \(7,\)$"):
+        fit_loglog(H_ORDER, H_ORDER[:-1] ** 4)
 
 
 @pytest.mark.parametrize("case", ["unguarded", "guarded"])

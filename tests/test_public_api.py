@@ -87,14 +87,16 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert not unread, f"public functions only the tests call: {unread}"
 
 
-def test_every_public_function_of_a_real_h_refuses_a_complex_one():
-    """A function in a module's ``__all__`` with a parameter ``h``, ``h_grid``
-    or ``h_values`` is named in a case of the complex-h refusal test, so that
-    it reads its h by the one rule.  ``propagator.step_matrix`` is exempt: it
-    takes a complex step, which criterion 5b's Taylor check uses."""
+def _h_functions_without_a_case(test_prefix: str) -> list[str]:
+    """Each function in a module's ``__all__`` with a parameter ``h``,
+    ``h_grid`` or ``h_values`` that no case of the test of
+    ``test_propagator.py`` named ``test_prefix...`` names.
+    ``propagator.step_matrix`` is exempt: it takes a complex or a negative
+    step, which criterion 5b's Taylor check and ``reversibility_report``
+    use."""
     tree = ast.parse(Path(__file__).with_name("test_propagator.py").read_text())
     test = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                and node.name.startswith("test_a_complex_h_is_refused"))
+                and node.name.startswith(test_prefix))
     cases = set().union(*map(_names_read, test.decorator_list))
     takes_h = []
     for short in MODULES:
@@ -104,5 +106,19 @@ def test_every_public_function_of_a_real_h_refuses_a_complex_one():
                     and {"h", "h_grid", "h_values"}
                     & inspect.signature(f).parameters.keys()]
     takes_h.remove("propagator.step_matrix")  # a ValueError if it is gone
-    missing = [q for q in takes_h if q.split(".")[1] not in cases]
+    return [q for q in takes_h if q.split(".")[1] not in cases]
+
+
+def test_every_public_function_of_a_real_h_refuses_a_complex_one():
+    """Every public function of a real h has a case in the complex-h
+    refusal test, so that it reads its h by the one rule."""
+    missing = _h_functions_without_a_case("test_a_complex_h_is_refused")
     assert not missing, f"no complex-h refusal case for {missing}"
+
+
+def test_every_public_function_of_a_real_h_refuses_one_not_finite_and_positive():
+    """Every public function of a real h has a case in the test of an h of
+    nan, inf, 0 or -0.1, so that it refuses such an h with the one reader's
+    ValueError."""
+    missing = _h_functions_without_a_case("test_an_h_that_is_not_finite_and_positive")
+    assert not missing, f"no case of an h not finite and > 0 for {missing}"

@@ -8,13 +8,12 @@ from unisplit.schemes import (
     SchemeError,
     SplittingScheme,
     catalog,
-    catalog_names,
     delta_norms,
     drift_comparator,
     get_scheme,
 )
 
-ALL_NAMES = catalog_names()
+ALL_NAMES = [s.name for s in catalog()]
 
 # The expanded catalog and the comparator, bit for bit: name -> (kind, order,
 # rkn, stages, factors), each factor as "op real.hex() imag.hex()" of its
