@@ -15,5 +15,3 @@ Library layout:
 """
 
 __version__ = "0.1.0"
-
-from unisplit.schemes import SplittingScheme, catalog, get_scheme  # noqa: F401

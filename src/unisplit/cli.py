@@ -170,11 +170,14 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _csv(cfg_hash: str, comments: list[str], body: str) -> str:
+def _csv(cfg_hash: str, comments: list[str], columns, rows) -> str:
     """A CSV artifact: ``#`` lines with the version, the config hash and
-    ``comments``, then ``body``."""
+    ``comments``, then ``columns`` and ``rows``, a float as .17g, else str."""
     head = [f"unisplit version {unisplit.__version__}", f"config hash {cfg_hash}"]
-    return "".join(f"# {c}\n" for c in head + comments) + body
+    lines = [f"# {c}" for c in head + comments] + [",".join(columns)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 #: A runner's artifacts, (file name, text) each, which ``run`` writes as they come.
@@ -182,23 +185,25 @@ _Artifacts = Iterator[tuple[str, str]]
 
 
 def _run_schemes_list(cfg: dict, cfg_hash: str) -> _Artifacts:
-    lines = ["name,kind,order,stages,delta_a,delta_b"]
+    rows = []
     print(f"{'name':<14}{'kind':<6}{'order':<7}{'stages':<8}{'Δa':<10}{'Δb':<10}")
     for s in cfg["schemes"]:
         da, db = schemes.delta_norms(s)
-        lines.append(f"{s.name},{s.kind},{s.order},{s.stages},{da:.17g},{db:.17g}")
+        rows.append((s.name, s.kind, s.order, s.stages, da, db))
         print(f"{s.name:<14}{s.kind:<6}{s.order:<7}{s.stages:<8}{da:<10.4f}{db:<10.4f}")
-    yield "schemes_list.csv", _csv(cfg_hash, [], "\n".join(lines) + "\n")
+    yield "schemes_list.csv", _csv(
+        cfg_hash, [], ("name", "kind", "order", "stages", "delta_a", "delta_b"), rows)
 
 
 def _run_validate(cfg: dict, cfg_hash: str) -> _Artifacts:
-    lines = ["name,consistent,symmetric_conjugate,positive_real_parts"]
+    rows = []
     for s in cfg["schemes"]:
         rep = schemes.validate(s)
-        lines.append(f"{s.name},{rep.consistent},{rep.symmetric_conjugate},"
-                     f"{rep.positive_real_parts}")
+        rows.append((s.name, rep.consistent, rep.symmetric_conjugate,
+                     rep.positive_real_parts))
         print(f"{s.name}: {rep}")
-    yield "validate.csv", _csv(cfg_hash, [], "\n".join(lines) + "\n")
+    yield "validate.csv", _csv(cfg_hash, [], ("name", "consistent", "symmetric_conjugate",
+                                              "positive_real_parts"), rows)
 
 
 def _run_dh_sweep(cfg: dict, cfg_hash: str) -> _Artifacts:
@@ -210,7 +215,7 @@ def _run_dh_sweep(cfg: dict, cfg_hash: str) -> _Artifacts:
         yield f"dh_sweep_{s.name}.csv", _csv(cfg_hash, [
             f"matrix class {spec.matrix_class.value} n={spec.n} seed={spec.seed}",
             f"h_star {h_star}", *([f"failed h {failed}"] if failed else [])],
-            series.to_csv())
+            (series.abscissa, *series.columns), series.rows)
         print(f"{s.name}: h* = {h_star}")
 
 
@@ -234,7 +239,7 @@ def _run_conservation(cfg: dict, cfg_hash: str) -> _Artifacts:
             "comparator: order-2 palindromic scheme with complex potential "
             "weights, not symmetric-conjugate",
             *ended,
-        ], series.to_csv())
+        ], (series.abscissa, *series.columns), series.rows)
         if len(series.rows) < 2:  # no slope to fit
             print(f"{s.name}: energy drift n/a ({len(series.rows)} samples)")
             continue
@@ -247,7 +252,7 @@ def _run_efficiency(cfg: dict, cfg_hash: str) -> _Artifacts:
     u0 = spectral.initial_gaussian(grid)
     for s in cfg["schemes"]:
         series = experiments.DiagnosticSeries("h", ("fft_count", "max_energy_err"))
-        notes = []
+        notes = [f"t_final {cfg['t_final']:.17g}"]
         for h in sorted(cfg["h_values"]):
             run = experiments.conservation_run(s, grid, v, u0, h,
                                                max(1, round(cfg["t_final"] / h)))
@@ -260,7 +265,7 @@ def _run_efficiency(cfg: dict, cfg_hash: str) -> _Artifacts:
             series.add(h, {"fft_count": run.column("fft_count")[-1],
                            "max_energy_err": run.column("energy_err").max()})
         yield f"efficiency_{s.name}.csv", _csv(
-            cfg_hash, [f"t_final {cfg['t_final']:.17g}", *notes], series.to_csv())
+            cfg_hash, notes, (series.abscissa, *series.columns), series.rows)
         print(f"{s.name}: {len(series.rows)} efficiency points")
 
 
@@ -271,13 +276,10 @@ def _run_order(cfg: dict, cfg_hash: str) -> _Artifacts:
     for s in cfg["schemes"]:
         fit = (spectral.pt_empirical_order(s, *cfg["grid"], hs) if "grid" in cfg
                else propagator.empirical_order(s, a, b, hs))
-        series = experiments.DiagnosticSeries("h", ("error",))
-        for h, e in sorted(zip(fit.h_used, fit.errors)):
-            series.add(h, {"error": e})
         yield f"order_{s.name}.csv", _csv(cfg_hash, [
             f"fitted slope {fit.slope:.17g}", f"excluded h {list(fit.excluded)}",
             *([f"failed h {list(fit.failed)}"] if fit.failed else [])],
-            series.to_csv())
+            ("h", "error"), sorted(zip(fit.h_used, fit.errors)))
         print(f"{s.name}: slope {fit.slope:.3f}")
 
 

@@ -152,12 +152,6 @@ class DiagnosticSeries:
     def x(self) -> np.ndarray:
         return np.array([r[0] for r in self.rows])
 
-    def to_csv(self) -> str:
-        lines = [",".join((self.abscissa,) + self.columns)]
-        for row in self.rows:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
     """D_h = max_j || |omega_j| - 1 || over the eigenvalues of S_h, per h.
@@ -169,7 +163,7 @@ def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
     """
     series = DiagnosticSeries(abscissa="h", columns=("D_h",))
     failures: list[float] = []
-    h_sorted = np.sort(linalg.as_steps(h_grid))
+    h_sorted = np.sort(linalg.as_steps(h_grid, 1))
 
     def d_of(m):  # D_h of each matrix of m: a float, or a list for a stack
         return np.max(np.abs(np.abs(linalg.eig_general(m)) - 1.0), axis=-1).tolist()
@@ -224,14 +218,13 @@ def conservation_run(
     Sampled states are copied into a block (at most ``_BLOCK_ROWS`` rows and
     ``_BLOCK_BYTES`` bytes) that one stacked ``observables`` call evaluates
     when full and at the end; each row has the bits of a single call.
-    ``n_steps`` and ``sample_every`` are integers >= 1 and ``h`` is finite
-    and > 0, or a ValueError before any step; a complex ``h`` is a
-    TypeError.
+    ``n_steps`` and ``sample_every`` are integers >= 1, or a ValueError, and
+    ``h`` is read by ``linalg.as_steps(h, 0)``, both before any step.
     """
     for key, k in (("n_steps", n_steps), ("sample_every", sample_every)):
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {k!r}")
-    linalg.as_steps(h)
+    linalg.as_steps(h, 0)
     counter = spectral.FftCounter()
     obs0 = spectral.observables(grid, v_pot, u0)
     series = DiagnosticSeries(

@@ -44,12 +44,16 @@ def as_matrix(m) -> np.ndarray:
 
 
 # not in __all__: the benchmark's tracer would time each call as a layer
-def as_steps(h) -> np.ndarray:
-    """``h``, a real step size or an array of them, as float64, every value
-    finite and > 0, or a ValueError; a complex ``h`` is a TypeError."""
+def as_steps(h, ndim: int) -> np.ndarray:
+    """``h`` as float64 with ``ndim`` dimensions (0: a step size, 1: a grid),
+    every value finite and > 0.  A complex ``h`` is a TypeError, a value
+    outside that range a ValueError and then another shape a DimensionError."""
     a = np.asarray(h).astype(float, casting="same_kind")
     if not (np.isfinite(a) & (a > 0.0)).all():
         raise ValueError(f"h must be finite and > 0, got {h!r}")
+    if a.ndim != ndim:
+        raise DimensionError(f"h must be {('a scalar', 'a 1-D grid')[ndim]}, "
+                             f"got shape {a.shape}")
     return a
 
 

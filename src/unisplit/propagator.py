@@ -160,7 +160,7 @@ def reversibility_report(
     ``sc3_residual`` = ||conj(S_h)^T - S_{-h}||_F (meaningful when A and B are
     real symmetric; reported unconditionally as a diagnostic).
     """
-    h = linalg.as_steps(h)
+    h = linalg.as_steps(h, 0)
     s_h, s_back = step_matrix(scheme, a, b, np.array([h, -h]))
     sc2 = float(np.linalg.norm(s_h.conj() @ s_h - np.eye(s_h.shape[0])))
     sc3 = float(np.linalg.norm(s_h.conj().T - s_back))
@@ -186,7 +186,7 @@ _FIT_WINDOW = (1e-12, 1e-1)
 def fit_loglog(h_values, errors) -> OrderFit:
     """Fit log(error) against log(h) over the points with error inside
     `_FIT_WINDOW`; the others go to ``excluded``, or to ``failed`` if not finite."""
-    h_arr = linalg.as_steps(h_values)
+    h_arr = linalg.as_steps(h_values, 1)
     e_arr = np.asarray(errors).astype(float, casting="same_kind")
     if h_arr.shape != e_arr.shape:
         raise ValueError(f"h_values of shape {h_arr.shape}, errors {e_arr.shape}")
@@ -217,9 +217,9 @@ def empirical_order(scheme: SplittingScheme, a, b, h_grid) -> OrderFit:
     The references expm(i h H) are kept in the split's record, one per h, so
     a sweep of schemes over one split builds each of them once.
     """
-    h_arr = linalg.as_steps(h_grid)
+    h_arr = linalg.as_steps(h_grid, 1)
     split = _split(a, b)
-    refs, hs = split["refs"], h_arr.reshape(-1).tolist()
+    refs, hs = split["refs"], h_arr.tolist()
     for h in hs:
         if h not in refs:
             refs[h] = linalg.expm(1j * h * split["H"])

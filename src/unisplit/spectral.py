@@ -234,7 +234,7 @@ def _factor_phases(
     its values, not the identity of the caller's array.  The key is typed,
     so that a complex ``h`` cannot hit the entry of an equal real one.
     """
-    h = linalg.as_steps(h)
+    h = linalg.as_steps(h, 0)
     v_pot = np.frombuffer(v_bytes, dtype=v_dtype)
     keys = dict.fromkeys((f.op, f.coeff) for f in scheme.factors)
     phases = np.empty((len(keys), grid.n), dtype=complex)
@@ -267,7 +267,8 @@ def split_step(
     The phases of all factors are built once per (scheme, grid, h, values
     and dtype of ``v_pot``), and only the most recent such set is kept:
     every caller steps one key many times in a row.  Changing ``v_pot`` in
-    place therefore yields fresh phases.
+    place therefore yields fresh phases.  An array or list ``h`` is read
+    before the lookup, so a 0-d array steps with the bits of its float.
 
     After every factor the step raises :class:`linalg.NumericalError` if an
     entry of the state is not finite or exceeds ``OVERFLOW_LIMIT`` in
@@ -304,6 +305,8 @@ def split_step(
     state = np.array(_check_length(grid, u))
     spare = np.empty_like(state)
     v_pot = _check_potential(grid, v_pot)
+    if not isinstance(h, (float, int, complex, np.generic)):  # before the cache hashes it
+        h = linalg.as_steps(h, 0)[()]
     phases = _factor_phases(scheme, grid, h, v_pot.dtype.str, v_pot.tobytes())
     bound = float(np.vdot(state, state).real) * _NORM2_MARGIN
     for op, c, phase, gain in phases:
@@ -330,7 +333,7 @@ def observables(grid: SpectralGrid, v_pot: np.ndarray, u) -> dict:
     """Mass dx*sum|u|^2 and energy dx*Re(conj(u) H u), computed matrix-free.
 
     ``energy_imag`` records the imaginary residual of the Hermitian form as a
-    sanity value.  For a state (N,) each value is a float; for a stack
+    sanity value.  For a state (N,) each value is a numpy float64; for a stack
     (K, N) it is an array of K values, and row k has the bits of the call
     on row k alone (one stacked ``dft``/``idft`` pair, and row reductions
     that sum as the 1-D ones do).
@@ -339,8 +342,6 @@ def observables(grid: SpectralGrid, v_pot: np.ndarray, u) -> dict:
     hu = _a_action(grid, state) - _check_potential(grid, v_pot) * state
     form = grid.dx * np.vecdot(state, hu)  # conjugates its first argument
     mass = grid.dx * np.sum(np.abs(state) ** 2, axis=-1)
-    if state.ndim == 1:
-        form, mass = complex(form), float(mass)
     return {"mass": mass, "energy": form.real, "energy_imag": form.imag}
 
 
@@ -387,7 +388,7 @@ def pt_empirical_order(
     the exact flow Q diag(e^{i h lam}) Q^T u0 of the dense H = Q diag(lam) Q^T,
     which is diagonalised once for the whole grid.  A step that overflows has
     an infinite error, which the fit reports as a failed h."""
-    h_arr = linalg.as_steps(h_grid)
+    h_arr = linalg.as_steps(h_grid, 1)
     u = initial_gaussian(grid)
     _, _, h_dense = build_dense_hamiltonian(grid, v_pot)
     lam, q = linalg.eig_symmetric(h_dense)

@@ -690,6 +690,14 @@ def test_artifact_names_and_header(tmp_path, capsys, raw, names, cfg_hash):
     capsys.readouterr()
 
 
+def test_csv_layout():
+    s = experiments.DiagnosticSeries(abscissa="h", columns=("e",))
+    s.add(0.5, {"e": 3.0})
+    assert cli._csv("0123", [], (s.abscissa, *s.columns), s.rows) == (
+        f"# unisplit version {unisplit.__version__}\n# config hash 0123\n"
+        "h,e\n0.5,3\n")
+
+
 def test_rkn_check_artifact_name_and_hash(tmp_path, capsys):
     assert cli.run({"experiment": "RKN_CHECK", "grid": {"n": 64}},
                    out_dir=str(tmp_path)) == 0

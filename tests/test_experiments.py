@@ -186,11 +186,6 @@ class TestDiagnosticSeries:
                 s.add(x, {"e": e})
         assert s.rows == []
 
-    def test_csv_layout(self):
-        s = DiagnosticSeries(abscissa="h", columns=("e",))
-        s.add(0.5, {"e": 3.0})
-        assert s.to_csv() == "h,e\n0.5,3\n"
-
 
 def test_dh_sweep_threshold_detection(sym_split):
     _, a, b = sym_split
@@ -362,6 +357,23 @@ def test_conservation_run_keeps_the_rows_before_an_abort():
     assert series.meta["aborted_at_step"] == 39
     assert series.rows == expected
     assert series.meta == meta
+
+
+def test_a_0d_array_h_has_the_bits_of_its_float():
+    """``np.array(h)`` raised "unhashable type" in ``split_step``, and in
+    ``conservation_run`` after the first observation.  It now gives the
+    bits of the float h: in a step, and in the rows and the abort record
+    of S4's run of the test above."""
+    grid = spectral.SpectralGrid()
+    v = spectral.pt_potential(grid)
+    u = spectral.initial_gaussian(grid)
+    s = schemes.get_scheme("S4")
+    h = float(np.geomspace(0.02, 0.4, 8)[4])
+    assert (spectral.split_step(s, grid, v, u, np.array(h)).tobytes()
+            == spectral.split_step(s, grid, v, u, h).tobytes())
+    run, expected = (conservation_run(s, grid, v, u, x, 100) for x in (np.array(h), h))
+    assert np.array(run.rows).tobytes() == np.array(expected.rows).tobytes()
+    assert run.meta == expected.meta and run.meta["aborted_at_step"] == 39
 
 
 def test_conservation_run_records_a_run_that_blew_up():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -545,6 +546,50 @@ def test_an_h_that_is_not_finite_and_positive_is_refused_before_any_work(
     _, a, b = sym_split
     call, *args = case(schemes.get_scheme("S31"), a, b, bad)
     with pytest.raises(ValueError, match=r"^h must be finite and > 0, got "):
+        without_calls(("step_matrix", "split_step", "build_dense_hamiltonian", "dft"),
+                      call, *args)
+    assert capfd.readouterr().out == ""
+
+
+#: wrong shapes of h, each with the end of the reader's message: a grid
+#: function's scalar or 2-D grid, and a scalar function's 2-entry array,
+#: list of one, or 2-tuple (which the phase cache of ``split_step`` hashes)
+GRID_H = {"scalar": (0.1, "a 1-D grid, got shape ()"),
+          "2d": (H_ORDER.reshape(2, 4), "a 1-D grid, got shape (2, 4)")}
+STEP_H = {"pair": (np.array([0.1, 0.2]), "a scalar, got shape (2,)"),
+          "list": ([0.1], "a scalar, got shape (1,)"),
+          "tuple": ((0.1, 0.2), "a scalar, got shape (2,)")}
+
+
+@pytest.mark.parametrize("case, h, message", [
+    pytest.param(case, h, message, id=f"{name}-{kind}")
+    for name, case, shapes in [
+        ("empirical_order", lambda s, a, b, h: (empirical_order, s, a, b, h), GRID_H),
+        ("fit_loglog", lambda s, a, b, h: (fit_loglog, h, np.asarray(h) ** 4), GRID_H),
+        ("pt_empirical_order",
+         lambda s, a, b, h: (spectral.pt_empirical_order, s, *pt16()[:2], h), GRID_H),
+        ("dh_sweep", lambda s, a, b, h: (experiments.dh_sweep, s, a, b, h), GRID_H),
+        ("reversibility_report",
+         lambda s, a, b, h: (reversibility_report, s, a, b, h), STEP_H),
+        ("split_step", lambda s, a, b, h: (spectral.split_step, s, *pt16(), h), STEP_H),
+        ("conservation_run",
+         lambda s, a, b, h: (experiments.conservation_run, s, *pt16(), h, 10), STEP_H),
+    ] for kind, (h, message) in shapes.items()])
+def test_an_h_of_the_wrong_shape_is_refused_before_any_work(
+        sym_split, capfd, case, h, message):
+    """``linalg.as_steps`` decides the shape of h too: a grid function
+    given a scalar or a 2-D grid, and a scalar function given an array,
+    list or tuple of h, raise its DimensionError before any step, step
+    matrix, dense H or FFT, and print nothing.  Before, ``fit_loglog``
+    fitted a 2-D grid flattened, ``split_step`` raised "unhashable type"
+    or, on a tuple, numpy's broadcasting error, ``conservation_run``
+    failed after an FFT, and the others failed in numpy, in
+    ``step_matrix`` or after building the dense H.
+    ``tests/test_public_api.py`` checks that every public function that
+    takes an h has a case here."""
+    _, a, b = sym_split
+    call, *args = case(schemes.get_scheme("S31"), a, b, h)
+    with pytest.raises(linalg.DimensionError, match=rf"^h must be {re.escape(message)}$"):
         without_calls(("step_matrix", "split_step", "build_dense_hamiltonian", "dft"),
                       call, *args)
     assert capfd.readouterr().out == ""

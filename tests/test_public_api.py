@@ -122,3 +122,11 @@ def test_every_public_function_of_a_real_h_refuses_one_not_finite_and_positive()
     ValueError."""
     missing = _h_functions_without_a_case("test_an_h_that_is_not_finite_and_positive")
     assert not missing, f"no case of an h not finite and > 0 for {missing}"
+
+
+def test_every_public_function_of_a_real_h_refuses_one_of_the_wrong_shape():
+    """Every public function of a real h has a case in the test of an h of
+    the wrong shape, so that it refuses one with the one reader's
+    DimensionError."""
+    missing = _h_functions_without_a_case("test_an_h_of_the_wrong_shape")
+    assert not missing, f"no wrong-shape case for {missing}"
