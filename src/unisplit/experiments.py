@@ -137,12 +137,25 @@ class DiagnosticSeries:
     meta: dict = field(default_factory=dict)
 
     def add(self, x: float, values: dict[str, float]) -> None:
-        if self.rows and x <= self.rows[-1][0]:
-            raise ValueError("abscissa must be strictly increasing")
-        row = (float(x),) + tuple(float(values[c]) for c in self.columns)
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"non-finite diagnostic value at {self.abscissa}={x}")
-        self.rows.append(row)
+        self.extend([(x, *[values[c] for c in self.columns])])
+
+    def extend(self, rows) -> None:
+        """Append rows (x, one value per column) as floats.  The first row
+        whose x does not exceed the x before it, or that has a wrong width
+        or a non-finite entry, raises a ValueError, and no row is added."""
+        width = 1 + len(self.columns)
+        block, last = [], self.rows[-1][0] if self.rows else None
+        for raw in rows:
+            if last is not None and raw[0] <= last:
+                raise ValueError("abscissa must be strictly increasing")
+            row = tuple(map(float, raw))
+            if len(row) != width:
+                raise ValueError(f"a row has {len(row)} entries, expected {width}")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"non-finite diagnostic value at {self.abscissa}={raw[0]}")
+            block.append(row)
+            last = row[0]
+        self.rows.extend(block)
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name) + 1
@@ -162,7 +175,6 @@ def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
     fails, is recorded in ``meta['failures']`` and the sweep continues.
     """
     series = DiagnosticSeries(abscissa="h", columns=("D_h",))
-    failures: list[float] = []
     h_sorted = np.sort(linalg.as_steps(h_grid, 1))
 
     def d_of(m):  # D_h of each matrix of m: a float, or a list for a stack
@@ -182,11 +194,9 @@ def dh_sweep(scheme: SplittingScheme, a, b, h_grid) -> DiagnosticSeries:
                     d_hs.append(d_of(s_h))
                 except linalg.NumericalError:
                     d_hs.append(math.nan)
-    for h, d_h in zip(h_sorted.tolist(), d_hs):
-        if not math.isfinite(d_h):
-            failures.append(h)
-        else:
-            series.add(h, {"D_h": d_h})
+    points = list(zip(h_sorted.tolist(), d_hs))
+    series.extend([(h, d_h) for h, d_h in points if math.isfinite(d_h)])
+    failures = [h for h, d_h in points if not math.isfinite(d_h)]
     below = itertools.takewhile(lambda row: row[1] <= DH_THRESHOLD, series.rows)
     series.meta["h_star"] = max((row[0] for row in below), default=None)
     series.meta["failures"] = failures
@@ -217,16 +227,20 @@ def conservation_run(
 
     Sampled states are copied into a block (at most ``_BLOCK_ROWS`` rows and
     ``_BLOCK_BYTES`` bytes) that one stacked ``observables`` call evaluates
-    when full and at the end; each row has the bits of a single call.
-    ``n_steps`` and ``sample_every`` are integers >= 1, or a ValueError, and
-    ``h`` is read by ``linalg.as_steps(h, 0)``, both before any step.
+    when full and at the end, and whose rows one ``extend`` appends; each
+    row has the bits of a single call.  ``n_steps`` and ``sample_every`` are
+    integers >= 1, or a ValueError, and ``h`` is read by
+    ``linalg.as_steps(h, 0)``, both before any step; a 0-d array ``h`` is
+    stepped as its scalar, and ``t`` is computed from the caller's ``h``.
     """
     for key, k in (("n_steps", n_steps), ("sample_every", sample_every)):
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {k!r}")
     linalg.as_steps(h, 0)
+    step_h = h[()] if isinstance(h, np.ndarray) else h  # split_step reads an array per step
     counter = spectral.FftCounter()
     obs0 = spectral.observables(grid, v_pot, u0)
+    mass0, energy0 = float(obs0["mass"]), float(obs0["energy"])
     series = DiagnosticSeries(
         abscissa="t", columns=("mass_err", "energy_err", "fft_count")
     )
@@ -237,9 +251,8 @@ def conservation_run(
 
     def observe():
         obs = spectral.observables(grid, v_pot, block[:len(pending)])
-        for (n, count), mass, energy in zip(pending, obs["mass"], obs["energy"]):
-            series.add(n * h, {"mass_err": abs(mass - obs0["mass"]), "fft_count": count,
-                               "energy_err": abs(energy - obs0["energy"])})
+        series.extend([(n * h, abs(m - mass0), abs(e - energy0), count) for (n, count), m, e
+                       in zip(pending, obs["mass"].tolist(), obs["energy"].tolist())])
         pending.clear()
 
     u = u0
@@ -247,7 +260,7 @@ def conservation_run(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             try:
-                u = spectral.split_step(scheme, grid, v_pot, u, h, counter)
+                u = spectral.split_step(scheme, grid, v_pot, u, step_h, counter)
             except linalg.NumericalError as exc:
                 series.meta["aborted_at_step"] = n
                 series.meta["aborted"] = str(exc)
@@ -260,9 +273,9 @@ def conservation_run(
         if pending:
             observe()
     worst = max((row[1] for row in series.rows), default=0.0)
-    if "aborted" not in series.meta and worst > obs0["mass"]:
+    if "aborted" not in series.meta and worst > mass0:
         series.meta["unstable"] = (f"max mass error {worst:.17g} exceeds the "
-                                   f"initial mass {obs0['mass']:.17g}")
+                                   f"initial mass {mass0:.17g}")
     return series
 
 

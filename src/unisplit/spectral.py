@@ -330,18 +330,19 @@ def split_step(
 
 
 def observables(grid: SpectralGrid, v_pot: np.ndarray, u) -> dict:
-    """Mass dx*sum|u|^2 and energy dx*Re(conj(u) H u), computed matrix-free.
-
-    ``energy_imag`` records the imaginary residual of the Hermitian form as a
-    sanity value.  For a state (N,) each value is a numpy float64; for a stack
-    (K, N) it is an array of K values, and row k has the bits of the call
-    on row k alone (one stacked ``dft``/``idft`` pair, and row reductions
-    that sum as the 1-D ones do).
+    """Mass dx*sum|u|^2 and energy dx*Re(conj(u) H u), matrix-free, from one
+    forward FFT: by Parseval for the unitary DFT, conj(u) A u =
+    -sum_k (k^2/2) |u^_k|^2, which is real, so ``energy_imag`` holds only
+    the imaginary part of the potential term (round-off for a real V).  For
+    a state (N,) each value is a numpy float64; for a stack (K, N) it is an
+    array of K values, and row k has the bits of the call on row k alone
+    (one stacked ``dft``, and row reductions that sum as the 1-D ones do).
     """
     state = _check_length(grid, u, stack=True)
-    hu = _a_action(grid, state) - _check_potential(grid, v_pot) * state
-    form = grid.dx * np.vecdot(state, hu)  # conjugates its first argument
-    mass = grid.dx * np.sum(np.abs(state) ** 2, axis=-1)
+    spec = dft(grid, state)
+    kinetic = np.vecdot(spec, grid._half_k2 * spec).real  # conjugates its first argument
+    form = -grid.dx * (kinetic + np.vecdot(state, _check_potential(grid, v_pot) * state))
+    mass = grid.dx * np.vecdot(state, state).real
     return {"mass": mass, "energy": form.real, "energy_imag": form.imag}
 
 

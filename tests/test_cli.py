@@ -821,11 +821,11 @@ def test_every_resolved_field_is_read(tmp_path, capsys, monkeypatch, form):
      "d55f97135e63a51ef2c4baa7e1887e94611de5681b9295e0f1b1082fd760087f"),
     ({"experiment": "CONSERVATION", "grid": {"n": 64}, "t_final": 20 * (100 / 909)},
      ["conservation_NB11s6.csv", "conservation_pal2_b0.25_0.25.csv"],
-     "2be1635b98a1a3ed5f195d7b05beb34549818be240888a55987bf4d96f45d571"),
+     "266237f7f537f41589451c5a2f0711661143f6778e31acef72c0bcae98ca5789"),
     ({"experiment": "EFFICIENCY", "schemes": ["strang", "NB5s4"], "grid": {"n": 64},
       "h_values": [0.05, 0.1, 0.2], "t_final": 1.0},
      ["efficiency_NB5s4.csv", "efficiency_strang.csv"],
-     "4cdbefb68a9fcfecab91a08efc3a5e49e15b6785670768a12d0ac8eaac9e118e"),
+     "9510ee6808d0aec0c120dc44820aa7c747679286e04e6d4bc5bf5b8751ba779b"),
     ({"experiment": "RKN_CHECK", "grid": {"n": 64}}, ["rkn_check.json"],
      "b7750f08c50885173eea3fe1e2a292bc0d59ffac442b9646cf01f00f07414264"),
 ], ids=["dh_sweep", "order", "order_on_a_grid", "conservation", "efficiency",

@@ -186,6 +186,57 @@ class TestDiagnosticSeries:
                 s.add(x, {"e": e})
         assert s.rows == []
 
+    def test_extend_equals_one_add_per_row(self):
+        rows = [(0.1, 1.5, 2), (np.float64(0.2), np.float64(3e-17), 4), (3, 0.0, 6.25)]
+        one, block = (DiagnosticSeries(abscissa="t", columns=("e", "n")) for _ in range(2))
+        for x, e, n in rows:
+            one.add(x, {"e": e, "n": n})
+        block.extend(rows[:1])
+        block.extend(iter(rows[1:]))
+        assert np.array(block.rows).tobytes() == np.array(one.rows).tobytes()
+        assert block.rows == one.rows and all(type(v) is float for r in block.rows for v in r)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("x, e, message", [
+        (None, 1.0, "abscissa must be strictly increasing"),  # None: the x before it
+        (-np.inf, 1.0, "abscissa must be strictly increasing"),
+        (np.nan, 1.0, "non-finite diagnostic value at h=nan"),
+        (np.inf, 1.0, "non-finite diagnostic value at h=inf"),
+        (9.0, np.nan, "non-finite diagnostic value at h=9.0"),
+        (9.0, -np.inf, "non-finite diagnostic value at h=9.0"),
+    ])
+    def test_extend_raises_the_error_of_add_and_adds_nothing(self, at, x, e, message):
+        """A bad row first in a block (right after the previous block's
+        last row), in its middle or last raises what ``add`` raises for it
+        after the rows before it, and the block adds no row."""
+        rows = [(1.0 + k, 1.0) for k in range(3)]
+        rows[at] = (([(0.25, 1.0)] + rows)[at][0] if x is None else x, e)
+        s, one = (DiagnosticSeries(abscissa="h", columns=("e",)) for _ in range(2))
+        for series in (s, one):
+            series.add(0.25, {"e": 1.0})
+        with pytest.raises(ValueError) as by_add:
+            for row in rows:
+                one.add(row[0], {"e": row[1]})
+        with pytest.raises(ValueError, match=message) as by_extend:
+            s.extend(rows)
+        assert str(by_extend.value) == str(by_add.value)
+        assert s.rows == [(0.25, 1.0)]
+
+    def test_extend_of_no_rows_adds_nothing(self):
+        s = DiagnosticSeries(abscissa="h", columns=("e",))
+        s.extend([])
+        assert s.rows == []
+        s.add(0.1, {"e": 1.0})
+        s.extend(iter(()))
+        assert s.rows == [(0.1, 1.0)]
+
+    def test_extend_refuses_a_row_of_another_width(self):
+        s = DiagnosticSeries(abscissa="h", columns=("e", "f"))
+        for row in ((0.1, 1.0), (0.1, 1.0, 2.0, 3.0)):
+            with pytest.raises(ValueError, match=f"a row has {len(row)} entries, expected 3"):
+                s.extend([row])
+        assert s.rows == []
+
 
 def test_dh_sweep_threshold_detection(sym_split):
     _, a, b = sym_split
@@ -374,6 +425,26 @@ def test_a_0d_array_h_has_the_bits_of_its_float():
     run, expected = (conservation_run(s, grid, v, u, x, 100) for x in (np.array(h), h))
     assert np.array(run.rows).tobytes() == np.array(expected.rows).tobytes()
     assert run.meta == expected.meta and run.meta["aborted_at_step"] == 39
+
+
+def test_a_0d_array_h_is_read_once_per_run(monkeypatch):
+    """``conservation_run`` reads an array h once and steps its scalar, so
+    the h reader runs as often as for the float h: once at the entry and
+    once in the phase build, not once per step."""
+    grid = spectral.SpectralGrid()
+    v = spectral.pt_potential(grid)
+    u = spectral.initial_gaussian(grid)
+    s = schemes.get_scheme("NB11s6")
+    h, reads = 100 / 909, []
+    as_steps = linalg.as_steps
+    monkeypatch.setattr(linalg, "as_steps", lambda *args: reads.append(args) or as_steps(*args))
+    runs = []
+    for x in (h, np.array(h)):
+        spectral._factor_phases.cache_clear()
+        reads.clear()
+        runs.append(conservation_run(s, grid, v, u, x, 200, 50))
+        assert len(reads) == 2
+    assert runs[0].rows == runs[1].rows
 
 
 def test_conservation_run_records_a_run_that_blew_up():

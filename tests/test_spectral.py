@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -564,13 +565,15 @@ def test_observables_match_dense_forms(pt64):
 @pytest.mark.parametrize("n", [2, 8, 64, 256])
 def test_observables_of_a_stack_equal_single_calls(n):
     """Row k of a stacked call has the bits of the call on row k alone,
-    for one row, a contiguous stack and one strided in both axes."""
+    for one row, a contiguous stack and one strided in both axes, with a
+    real and a complex potential."""
     grid = SpectralGrid(n=n)
-    v = pt_potential(grid)
     gen = np.random.default_rng(n)
     wide = gen.standard_normal((10, 2 * n)) + 1j * gen.standard_normal((10, 2 * n))
     wide *= np.geomspace(1e-3, 1e3, 10)[:, None]
-    for stack in (wide[:1, :n], wide[:, :n], wide[::-2, ::2]):
+    for v, stack in itertools.product(
+            (pt_potential(grid), pt_potential(grid) * (1 + 0.3j)),
+            (wide[:1, :n], wide[:, :n], wide[::-2, ::2])):
         got = observables(grid, v, stack)
         for name, values in got.items():
             assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
@@ -578,10 +581,41 @@ def test_observables_of_a_stack_equal_single_calls(n):
             single = observables(grid, v, row)
             assert all(isinstance(x, float) for x in single.values())
             assert {name: values[k] for name, values in got.items()} == single
-            # the row reductions give the bits of the 1-D np.sum and np.vdot
-            assert got["mass"][k] == grid.dx * float(np.sum(np.abs(row) ** 2))
-            form = grid.dx * complex(np.vdot(row, spectral._a_action(grid, row) - v * row))
+            # the bits of the 1-D formula: Parseval's kinetic part from one dft
+            spec = spectral.dft(grid, row)
+            kinetic = np.vdot(spec, grid._half_k2 * spec).real
+            form = -grid.dx * complex(kinetic + np.vdot(row, v * row))
+            assert got["mass"][k] == grid.dx * np.vdot(row, row).real
             assert (got["energy"][k], got["energy_imag"][k]) == (form.real, form.imag)
+            # and within round-off of the dft/idft round trip and sum |u|^2
+            old = grid.dx * np.vdot(row, spectral._a_action(grid, row) - v * row)
+            assert abs(form - old) <= 1e-12 * abs(old)
+            assert got["mass"][k] == pytest.approx(
+                grid.dx * np.sum(np.abs(row) ** 2), rel=1e-12, abs=0)
+
+
+def test_observables_makes_one_dft_and_no_idft(monkeypatch):
+    """The energy's kinetic part comes from one forward transform by
+    Parseval, for a state and for a stack alike."""
+    grid = SpectralGrid(n=64)
+    v = pt_potential(grid)
+    u = initial_gaussian(grid)
+    calls = []
+
+    def counting(name):
+        transform = getattr(spectral, name)
+
+        def counted(g, w, *args, **kwargs):
+            calls.append((name, np.shape(w)))
+            return transform(g, w, *args, **kwargs)
+        return counted
+
+    for name in ("dft", "idft"):
+        monkeypatch.setattr(spectral, name, counting(name))
+    for state in (u, np.stack([u, 2 * u, 1j * u])):
+        calls.clear()
+        observables(grid, v, state)
+        assert calls == [("dft", state.shape)]
 
 
 def test_rkn_residual_resolution_dependence(grid256, grid32):
