@@ -251,8 +251,7 @@ def _run_efficiency(cfg: dict, cfg_hash: str) -> _Artifacts:
     grid, v = cfg["grid"]
     u0 = spectral.initial_gaussian(grid)
     for s in cfg["schemes"]:
-        series = experiments.DiagnosticSeries("h", ("fft_count", "max_energy_err"))
-        notes = [f"t_final {cfg['t_final']:.17g}"]
+        rows, notes = [], [f"t_final {cfg['t_final']:.17g}"]
         for h in sorted(cfg["h_values"]):
             run = experiments.conservation_run(s, grid, v, u0, h,
                                                max(1, round(cfg["t_final"] / h)))
@@ -262,11 +261,10 @@ def _run_efficiency(cfg: dict, cfg_hash: str) -> _Artifacts:
                 continue
             if "unstable" in run.meta:  # blew up without overflowing: kept, recorded
                 notes.append(f"unstable h {h:.17g}: {run.meta['unstable']}")
-            series.add(h, {"fft_count": run.column("fft_count")[-1],
-                           "max_energy_err": run.column("energy_err").max()})
+            rows.append((h, run.column("fft_count")[-1], run.column("energy_err").max()))
         yield f"efficiency_{s.name}.csv", _csv(
-            cfg_hash, notes, (series.abscissa, *series.columns), series.rows)
-        print(f"{s.name}: {len(series.rows)} efficiency points")
+            cfg_hash, notes, ("h", "fft_count", "max_energy_err"), rows)
+        print(f"{s.name}: {len(rows)} efficiency points")
 
 
 def _run_order(cfg: dict, cfg_hash: str) -> _Artifacts:

@@ -62,6 +62,9 @@ class MatrixClassSpec:
             raise ValueError(f"unknown matrix class {self.matrix_class!r}")
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
+        if isinstance(self.seed, bool) or not (
+                isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= 2**64 - 1):
+            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
         mult = self.multiplicities
         if not self.matrix_class.name.startswith("MULTIPLE_EIGS"):
             if mult is not None:
@@ -229,15 +232,14 @@ def conservation_run(
     ``_BLOCK_BYTES`` bytes) that one stacked ``observables`` call evaluates
     when full and at the end, and whose rows one ``extend`` appends; each
     row has the bits of a single call.  ``n_steps`` and ``sample_every`` are
-    integers >= 1, or a ValueError, and ``h`` is read by
-    ``linalg.as_steps(h, 0)``, both before any step; a 0-d array ``h`` is
-    stepped as its scalar, and ``t`` is computed from the caller's ``h``.
+    integers >= 1, or a ValueError, and ``h`` is read as a float by
+    ``linalg.as_steps(h, 0)``, both before any step; the steps and ``t``
+    both use that float.
     """
     for key, k in (("n_steps", n_steps), ("sample_every", sample_every)):
         if not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"{key} must be an integer >= 1, got {k!r}")
-    linalg.as_steps(h, 0)
-    step_h = h[()] if isinstance(h, np.ndarray) else h  # split_step reads an array per step
+    h = float(linalg.as_steps(h, 0))
     counter = spectral.FftCounter()
     obs0 = spectral.observables(grid, v_pot, u0)
     mass0, energy0 = float(obs0["mass"]), float(obs0["energy"])
@@ -260,7 +262,7 @@ def conservation_run(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             try:
-                u = spectral.split_step(scheme, grid, v_pot, u, step_h, counter)
+                u = spectral.split_step(scheme, grid, v_pot, u, h, counter)
             except linalg.NumericalError as exc:
                 series.meta["aborted_at_step"] = n
                 series.meta["aborted"] = str(exc)

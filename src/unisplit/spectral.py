@@ -119,14 +119,15 @@ def _check_length(grid: SpectralGrid, u, stack: bool = False) -> np.ndarray:
 
 
 def _check_potential(grid: SpectralGrid, v_pot) -> np.ndarray:
-    """``v_pot`` as an array of shape (N,), in complex128 if it is complex and
-    in float64 otherwise: NEP 50 would keep a narrower precision in the
-    phases, and a wider one would build complex256 phases."""
+    """``v_pot`` as a float64 array of shape (N,).  NEP 50 would keep a
+    narrower precision in the phases, and a longdouble V would build
+    complex256 phases; a complex or string V is numpy's same-kind
+    TypeError, since H = A + B is Hermitian only for a real V."""
     v = np.asarray(v_pot)
     if v.shape != (grid.n,):
         raise linalg.DimensionError(f"expected a potential of shape ({grid.n},), "
                                     f"got {v.shape}")
-    return v.astype(complex if v.dtype.kind == "c" else float, copy=False)
+    return v.astype(float, casting="same_kind", copy=False)
 
 
 def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
@@ -217,7 +218,6 @@ def _factor_phases(
     scheme: SplittingScheme,
     grid: SpectralGrid,
     h: float,
-    v_dtype: str,
     v_bytes: bytes,
 ) -> tuple[tuple[str, complex, np.ndarray, float], ...]:
     """(op, coeff, phase, gain) for each factor of ``scheme``; factors with
@@ -230,12 +230,12 @@ def _factor_phases(
     product, not ``m**2``, so that a huge ``m`` gives ``inf`` instead of
     raising ``OverflowError``.
 
-    The potential arrives as its dtype and bytes so that the cache key holds
+    The float64 potential arrives as its bytes so that the cache key holds
     its values, not the identity of the caller's array.  The key is typed,
     so that a complex ``h`` cannot hit the entry of an equal real one.
     """
     h = linalg.as_steps(h, 0)
-    v_pot = np.frombuffer(v_bytes, dtype=v_dtype)
+    v_pot = np.frombuffer(v_bytes)
     keys = dict.fromkeys((f.op, f.coeff) for f in scheme.factors)
     phases = np.empty((len(keys), grid.n), dtype=complex)
     for row, (op, c) in zip(phases, keys):
@@ -265,7 +265,7 @@ def split_step(
     state in place.
 
     The phases of all factors are built once per (scheme, grid, h, values
-    and dtype of ``v_pot``), and only the most recent such set is kept:
+    of ``v_pot``), and only the most recent such set is kept:
     every caller steps one key many times in a row.  Changing ``v_pot`` in
     place therefore yields fresh phases.  An array or list ``h`` is read
     before the lookup, so a 0-d array steps with the bits of its float.
@@ -307,7 +307,7 @@ def split_step(
     v_pot = _check_potential(grid, v_pot)
     if not isinstance(h, (float, int, complex, np.generic)):  # before the cache hashes it
         h = linalg.as_steps(h, 0)[()]
-    phases = _factor_phases(scheme, grid, h, v_pot.dtype.str, v_pot.tobytes())
+    phases = _factor_phases(scheme, grid, h, v_pot.tobytes())
     bound = float(np.vdot(state, state).real) * _NORM2_MARGIN
     for op, c, phase, gain in phases:
         if op == "A":
@@ -332,18 +332,17 @@ def split_step(
 def observables(grid: SpectralGrid, v_pot: np.ndarray, u) -> dict:
     """Mass dx*sum|u|^2 and energy dx*Re(conj(u) H u), matrix-free, from one
     forward FFT: by Parseval for the unitary DFT, conj(u) A u =
-    -sum_k (k^2/2) |u^_k|^2, which is real, so ``energy_imag`` holds only
-    the imaginary part of the potential term (round-off for a real V).  For
-    a state (N,) each value is a numpy float64; for a stack (K, N) it is an
-    array of K values, and row k has the bits of the call on row k alone
-    (one stacked ``dft``, and row reductions that sum as the 1-D ones do).
+    -sum_k (k^2/2) |u^_k|^2.  For a state (N,) each value is a numpy
+    float64; for a stack (K, N) it is an array of K values, and row k has
+    the bits of the call on row k alone (one stacked ``dft``, and row
+    reductions that sum as the 1-D ones do).
     """
-    state = _check_length(grid, u, stack=True)
+    state, v = _check_length(grid, u, stack=True), _check_potential(grid, v_pot)
     spec = dft(grid, state)
     kinetic = np.vecdot(spec, grid._half_k2 * spec).real  # conjugates its first argument
-    form = -grid.dx * (kinetic + np.vecdot(state, _check_potential(grid, v_pot) * state))
+    form = -grid.dx * (kinetic + np.vecdot(state, v * state))
     mass = grid.dx * np.vecdot(state, state).real
-    return {"mass": mass, "energy": form.real, "energy_imag": form.imag}
+    return {"mass": mass, "energy": form.real}
 
 
 def rkn_residual(grid: SpectralGrid, v_pot: np.ndarray, u0) -> float:
@@ -371,11 +370,11 @@ def build_dense_hamiltonian(
     """
     if grid.n > DENSE_MAX_N:
         raise ValueError(f"dense assembly limited to N <= {DENSE_MAX_N}")
+    b = np.diag(-_check_potential(grid, v_pot))
     a = np.ascontiguousarray(_a_action(grid, np.eye(grid.n, dtype=complex)).T)
     if np.max(np.abs(a.imag)) > 1e-12 * max(np.max(np.abs(a.real)), 1.0):
         raise linalg.NumericalError("kinetic matrix has unexpected imaginary part")
     a = a.real
-    b = np.diag(-_check_potential(grid, v_pot).astype(float, casting="same_kind"))
     return a, b, a + b
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -383,6 +386,32 @@ def test_main_entry_point(tmp_path, capsys):
     assert status == 0
     assert (tmp_path / "schemes_list.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw, status", [({"experiment": "SCHEMES_LIST"}, 0),
+                                         ({"experiment": "SCHEMES_LIST", "seed": 1}, 2)],
+                         ids=["valid", "invalid"])
+def test_python_m_unisplit_cli_exits_with_the_status_of_main(tmp_path, capsys, raw,
+                                                              status):
+    """``python -m unisplit.cli`` exits with the status ``main`` returns and
+    writes the bytes ``main`` writes: the module's ``sys.exit(main())``."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    args = ["schemes_list", "--config", str(config), "--out"]
+    env = {**os.environ, "PYTHONPATH": str(Path(unisplit.__file__).parents[1]),
+           "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run([sys.executable, "-m", "unisplit.cli", *args,
+                           str(tmp_path / "module")], env=env, capture_output=True,
+                          encoding="utf-8", timeout=60)
+    assert done.returncode == cli.main([*args, str(tmp_path / "main")]) == status
+    main_out, main_err = capsys.readouterr()
+    assert (done.stdout, done.stderr) == (main_out, main_err)
+    if status == 0:
+        assert (tmp_path / "module" / "schemes_list.csv").read_bytes() == \
+            (tmp_path / "main" / "schemes_list.csv").read_bytes()
+    else:
+        assert json.loads(done.stderr)["error"] == "invalid config"
+        assert not (tmp_path / "module").exists()
 
 
 def test_main_experiment_mismatch(tmp_path, capsys):

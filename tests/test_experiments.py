@@ -96,6 +96,25 @@ def test_a_matrix_class_that_is_not_a_member_is_refused(cls):
         MatrixClassSpec(cls)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(1.0), "1", None, -1,
+                                  np.int64(-1), 2**64],
+                         ids=["1.5", "True", "float64", "str", "None", "-1", "int64", "2**64"])
+def test_a_seed_that_is_not_an_integer_in_the_philox_range_is_refused(seed):
+    """1.5, True and np.float64(1.0) drew seed 1's matrices, and -1 raised
+    OverflowError only inside ``generate``."""
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64 - 1\]"):
+        MatrixClassSpec(MatrixClass.ARBITRARY, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.uint64(2**64 - 1), np.int32(7), 2**64 - 1],
+                         ids=["0", "uint64", "int32", "2**64-1"])
+def test_an_integer_seed_in_the_philox_range_is_taken(seed):
+    spec = MatrixClassSpec(MatrixClass.ARBITRARY, n=3, seed=seed)
+    assert np.array_equal(generate(spec)[0],
+                          generate(MatrixClassSpec(MatrixClass.ARBITRARY, n=3,
+                                                   seed=int(seed)))[0])
+
+
 def test_seeds_up_to_2_64_draw_distinct_matrices():
     """The Philox key is a uint64 pair: seeds from 2**63 up are not rounded
     to a float (2**63 and 2**63 + 1 drew the same H, 2**64 - 1 drew seed 0's
@@ -445,6 +464,20 @@ def test_a_0d_array_h_is_read_once_per_run(monkeypatch):
         runs.append(conservation_run(s, grid, v, u, x, 200, 50))
         assert len(reads) == 2
     assert runs[0].rows == runs[1].rows
+
+
+def test_t_is_the_time_stepped_for_a_float32_h(pt64):
+    """``split_step`` steps with the float64 read of h, so ``t`` is n times
+    that float: a float32 0.1 recorded t = 0.30000001192092896 at step 3,
+    the float32 product, against 3 * 0.10000000149011612 =
+    0.30000000447034836."""
+    grid, v, _, _, _ = pt64
+    s, u = schemes.get_scheme("strang"), spectral.initial_gaussian(grid)
+    h = np.float32(0.1)
+    run = conservation_run(s, grid, v, u, h, 3)
+    assert run.rows == conservation_run(s, grid, v, u, float(h), 3).rows
+    assert run.x.tolist() == [n * 0.10000000149011612 for n in (1, 2, 3)]
+    assert run.rows[-1][0] == 0.30000000447034836
 
 
 def test_conservation_run_records_a_run_that_blew_up():

@@ -87,26 +87,34 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert not unread, f"public functions only the tests call: {unread}"
 
 
-def _h_functions_without_a_case(test_prefix: str) -> list[str]:
-    """Each function in a module's ``__all__`` with a parameter ``h``,
-    ``h_grid`` or ``h_values`` that no case of the test of
-    ``test_propagator.py`` named ``test_prefix...`` names.
-    ``propagator.step_matrix`` is exempt: it takes a complex or a negative
-    step, which criterion 5b's Taylor check and ``reversibility_report``
-    use."""
-    tree = ast.parse(Path(__file__).with_name("test_propagator.py").read_text())
+def _functions_without_a_case(test_file: str, test_prefix: str, params: set[str],
+                              exempt: tuple[str, ...] = ()) -> list[str]:
+    """Each function in a module's ``__all__`` with a parameter in
+    ``params``, other than those ``exempt``, that no case of the test of
+    ``test_file`` named ``test_prefix...`` names."""
+    tree = ast.parse(Path(__file__).with_name(test_file).read_text())
     test = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                 and node.name.startswith(test_prefix))
     cases = set().union(*map(_names_read, test.decorator_list))
-    takes_h = []
+    takes = []
     for short in MODULES:
         module = importlib.import_module(f"unisplit.{short}")
-        takes_h += [f"{short}.{name}" for name in getattr(module, "__all__", [])
-                    if inspect.isfunction(f := getattr(module, name))
-                    and {"h", "h_grid", "h_values"}
-                    & inspect.signature(f).parameters.keys()]
-    takes_h.remove("propagator.step_matrix")  # a ValueError if it is gone
-    return [q for q in takes_h if q.split(".")[1] not in cases]
+        takes += [f"{short}.{name}" for name in getattr(module, "__all__", [])
+                  if inspect.isfunction(f := getattr(module, name))
+                  and params & inspect.signature(f).parameters.keys()]
+    assert set(exempt) < set(takes), f"{exempt} not among the functions {takes}"
+    return [q for q in takes if q not in exempt and q.split(".")[1] not in cases]
+
+
+def _h_functions_without_a_case(test_prefix: str) -> list[str]:
+    """Each function of an ``h``, ``h_grid`` or ``h_values`` without a case
+    in the test of ``test_propagator.py`` named ``test_prefix...``.
+    ``propagator.step_matrix`` is exempt: it takes a complex or a negative
+    step, which criterion 5b's Taylor check and ``reversibility_report``
+    use."""
+    return _functions_without_a_case("test_propagator.py", test_prefix,
+                                     {"h", "h_grid", "h_values"},
+                                     exempt=("propagator.step_matrix",))
 
 
 def test_every_public_function_of_a_real_h_refuses_a_complex_one():
@@ -130,3 +138,13 @@ def test_every_public_function_of_a_real_h_refuses_one_of_the_wrong_shape():
     DimensionError."""
     missing = _h_functions_without_a_case("test_an_h_of_the_wrong_shape")
     assert not missing, f"no wrong-shape case for {missing}"
+
+
+def test_every_public_function_of_a_potential_refuses_a_complex_one():
+    """Every public function of a potential ``v_pot`` has a case in the
+    complex- and string-V refusal test, so that it reads V by the one
+    float64 rule."""
+    missing = _functions_without_a_case(
+        "test_spectral.py", "test_a_complex_or_string_potential_is_refused",
+        {"v_pot"})
+    assert not missing, f"no complex-V refusal case for {missing}"
