@@ -60,10 +60,9 @@ class MatrixClassSpec:
     def __post_init__(self):
         if not isinstance(self.matrix_class, MatrixClass):
             raise ValueError(f"unknown matrix class {self.matrix_class!r}")
-        if self.n < 2:
-            raise ValueError("dimension must be at least 2")
-        if isinstance(self.seed, bool) or not (
-                isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= 2**64 - 1):
+        if not _integer_in(self.n, 2, math.inf):
+            raise ValueError(f"dimension must be at least 2 and an integer, got {self.n!r}")
+        if not _integer_in(self.seed, 0, 2**64 - 1):
             raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
         mult = self.multiplicities
         if not self.matrix_class.name.startswith("MULTIPLE_EIGS"):
@@ -73,10 +72,15 @@ class MatrixClassSpec:
             return
         mult = tuple((self.n // 2, self.n - self.n // 2) if mult is None else mult)
         object.__setattr__(self, "multiplicities", mult)
+        if not all(_integer_in(k, 1, math.inf) for k in mult):
+            raise ValueError(f"multiplicities {mult} must all be integers at least 1")
         if sum(mult) != self.n:
             raise ValueError(f"multiplicities {mult} do not sum to n={self.n}")
-        if min(mult) < 1:
-            raise ValueError(f"multiplicities {mult} must all be at least 1")
+
+
+def _integer_in(k, low, high) -> bool:
+    """Whether ``k`` is an int or numpy integer, not a bool, in [low, high]."""
+    return not isinstance(k, bool) and isinstance(k, (int, np.integer)) and low <= k <= high
 
 
 def _rng(spec: MatrixClassSpec, substream: int) -> np.random.Generator:

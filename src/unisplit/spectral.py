@@ -66,7 +66,7 @@ class SpectralGrid:
     ``==``, ``hash`` and ``repr`` read the fields alone.  The grid builds its
     read-only arrays once: the nodes ``x``, the wavenumbers ``k`` = 2*pi*m/L
     for m in {0,...,N/2-1, -N/2,...,-1} (the Nyquist mode keeps k = -pi*N/L;
-    k enters only through k^2), k^2/2 and the transforms' scale 1/sqrt(N).
+    k enters only through k^2), k^2/2 and the transforms' 0-d scale 1/sqrt(N).
     """
 
     n: int = 256
@@ -84,8 +84,8 @@ class SpectralGrid:
         if not (math.isfinite(self.length) and np.isfinite(half_k2).all()):
             raise ValueError(f"grid length {self.length} or k^2/2 is not finite")
         x = self.x_min + self.dx * np.arange(self.n)
-        scale = np.reciprocal(np.sqrt(self.n, dtype=np.float64))  # a read-only scalar
-        for a in (x, k, half_k2):
+        scale = np.array(np.reciprocal(np.sqrt(self.n, dtype=np.float64)))
+        for a in (x, k, half_k2, scale):
             a.flags.writeable = False
         for name, a in zip(("x", "k", "_half_k2", "_scale"), (x, k, half_k2, scale)):
             object.__setattr__(self, name, a)
@@ -139,9 +139,10 @@ def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
         out = np.empty_like(v)
     elif out.shape != v.shape:
         raise linalg.DimensionError(f"out must have shape {v.shape}, got {out.shape}")
-    if counter is not None:
+    gufunc(v, grid._scale, out=out)
+    if counter is not None:  # only once the transform has run
         counter.count += rows
-    return gufunc(v, grid._scale, out=out)
+    return out
 
 
 def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
@@ -151,21 +152,22 @@ def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
 
     A stack is one gufunc call, and each of its rows has the bits of the
     call on that row alone.  With ``out`` (a complex array of the input's
-    shape) the result is written there and ``out`` is returned; the bits
-    are the same.
+    shape, or the input itself, which is cheapest: the gufunc otherwise first
+    copies the input into ``out``) the result is written there and ``out`` is
+    returned; the bits are the same.  ``counter`` grows once the call has run.
 
     The transform calls the pocketfft gufunc that ``np.fft.fft`` itself ends
-    in (numpy >= 2.0 implements ``np.fft`` as these gufuncs), with the same
-    scale ``1/sqrt(N)`` that ``np.fft`` computes for ``norm="ortho"`` in both
-    directions, kept by the grid.  This skips the wrapper's per-call work (it
-    recomputes the scale and checks the axis, dtypes and shape each time),
-    about half the cost of a 256-point transform; the kernel and its inputs
-    are the same, and so are the bits.  The gufunc pads or truncates
-    into an ``out`` of another length instead of raising, so an ``out``
-    whose shape differs from the input's in any axis is refused here with
-    :class:`linalg.DimensionError` before anything is written.
-    ``scipy.fft`` is not used: its bits differ from ``np.fft``'s at
-    N = 2*4^k.
+    in (numpy >= 2.0 implements ``np.fft`` as these gufuncs), with the scale
+    ``1/sqrt(N)`` that ``np.fft`` computes for ``norm="ortho"``, kept by the
+    grid as a 0-d array, which the gufunc reads without converting it on each
+    call.  This skips the wrapper's per-call work (it recomputes the scale
+    and checks the axis, dtypes and shape each time), about half the cost of
+    a 256-point transform; the kernel and its inputs are the same, and so are
+    the bits.  The gufunc pads or truncates into an ``out`` of another length
+    instead of raising, so an ``out`` whose shape differs from the input's in
+    any axis is refused here with :class:`linalg.DimensionError` before
+    anything is written.  ``scipy.fft`` is not used: its bits differ from
+    ``np.fft``'s at N = 2*4^k.
     """
     return _transform(_pocketfft_umath.fft, grid, u, counter, out)
 
@@ -259,10 +261,9 @@ def split_step(
 
     A-factor with coefficient c: u <- idft(exp(-i h c k^2/2) * dft(u));
     B-factor: u <- exp(-i h c V(x)) * u  (B = -V diagonal).  Costs two FFTs
-    per A-factor.  The step works in two arrays of its own: an A-factor
-    transforms the state into the spare array, multiplies it by the phase
-    there and transforms it back into the state; a B-factor multiplies the
-    state in place.
+    per A-factor.  The step works in one array of its own, a copy of ``u``:
+    each FFT and multiply of an A-factor, and a B-factor's multiply, runs in
+    place there, so no transform first copies its input into its ``out``.
 
     The phases of all factors are built once per (scheme, grid, h, values
     of ``v_pot``), and only the most recent such set is kept:
@@ -303,7 +304,6 @@ def split_step(
     """
     # a copy: the caller's array when it is already complex
     state = np.array(_check_length(grid, u))
-    spare = np.empty_like(state)
     v_pot = _check_potential(grid, v_pot)
     if not isinstance(h, (float, int, complex, np.generic)):  # before the cache hashes it
         h = linalg.as_steps(h, 0)[()]
@@ -311,9 +311,9 @@ def split_step(
     bound = float(np.vdot(state, state).real) * _NORM2_MARGIN
     for op, c, phase, gain in phases:
         if op == "A":
-            dft(grid, state, counter, out=spare)
-            np.multiply(phase, spare, out=spare)
-            idft(grid, spare, counter, out=state)
+            dft(grid, state, counter, out=state)
+            np.multiply(phase, state, out=state)
+            idft(grid, state, counter, out=state)
         else:
             np.multiply(state, phase, out=state)
         bound *= gain

@@ -89,6 +89,33 @@ def test_multiplicities_that_would_be_ignored_or_are_below_one_are_refused(
         spec_of(cls, multiplicities=mult)
 
 
+@pytest.mark.parametrize("kw, words", [
+    ({"n": 10.0}, "^dimension must be at least 2 and an integer, got 10.0$"),
+    ({"n": 3.5}, "^dimension must be at least 2 and an integer, got 3.5$"),
+    ({"n": True}, "^dimension must be at least 2 and an integer, got True$"),
+    ({"n": np.float64(4.0)}, "^dimension must be at least 2 and an integer"),
+    ({"n": 10, "multiplicities": (2.5, 7.5)},
+     r"^multiplicities \(2.5, 7.5\) must all be integers"),
+    ({"n": 10, "multiplicities": (2.0, 8.0)}, "must all be integers at least 1$"),
+    ({"n": 10, "multiplicities": (True, 9)}, "must all be integers at least 1$"),
+], ids=["n_10.0", "n_3.5", "n_True", "n_float64", "mult_2.5_7.5", "mult_2.0_8.0",
+        "mult_True"])
+def test_a_non_integer_dimension_or_multiplicity_is_refused(kw, words):
+    """n = 10.0 or 3.5 was built, and ``generate`` raised numpy's TypeError;
+    multiplicities (2.5, 7.5) summed to n = 10 and ``generate`` raised a
+    ``matmul`` ValueError."""
+    with pytest.raises(ValueError, match=words):
+        MatrixClassSpec(MatrixClass.MULTIPLE_EIGS_DIAG, **kw)
+
+
+@pytest.mark.parametrize("n, mult", [(np.int64(6), None), (6, (np.int32(2), np.uint8(4)))],
+                         ids=["int64_n", "numpy_multiplicities"])
+def test_numpy_integer_dimension_and_multiplicities_are_accepted(n, mult):
+    h, _, _ = generate(MatrixClassSpec(MatrixClass.MULTIPLE_EIGS_DIAG, n=n,
+                                       multiplicities=mult))
+    assert h.shape == (6, 6)
+
+
 @pytest.mark.parametrize("cls", ["SYM_SIMPLE", None])
 def test_a_matrix_class_that_is_not_a_member_is_refused(cls):
     """A class name or None raised AttributeError on ``.name``."""

@@ -82,6 +82,17 @@ def test_replaced_grid_rebuilds_its_arrays(grid64):
     assert wide.x[-1] == -8.0 + 32.0 / 64 * 63 and wide.k.tobytes() != grid64.k.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 64, 256, 2**14])
+def test_grid_scale_is_a_read_only_0d_float64_array(n):
+    """The transforms' scale is a 0-d array, which the gufuncs take without
+    converting it on each call, with the bits of 1/sqrt(N)."""
+    scale = SpectralGrid(n=n)._scale
+    assert isinstance(scale, np.ndarray) and scale.shape == () and scale.dtype == np.float64
+    assert scale.tobytes() == np.reciprocal(np.sqrt(n, dtype=np.float64)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        scale[()] = 1.0
+
+
 @pytest.mark.parametrize("n", [8, 64, 256])
 def test_norm_of_an_ordinary_state_keeps_the_plain_formula_bits(n):
     grid = SpectralGrid(n=n)
@@ -295,6 +306,14 @@ def _transform_inputs(n, rows=()):
             "strided": wide[..., ::2]}
 
 
+def _in_place_copies(u):
+    """Writable complex arrays with the values of ``u``, to be transformed
+    as their own ``out``: a contiguous copy and a strided view."""
+    wide = np.zeros((*u.shape[:-1], 2 * u.shape[-1]), dtype=complex)
+    wide[..., ::2] = u
+    return [u.astype(complex), wide[..., ::2]]
+
+
 @pytest.mark.parametrize("n", [2**k for k in range(1, 15)])
 @pytest.mark.parametrize("transform, numpy_fft", [(dft, np.fft.fft), (idft, np.fft.ifft)],
                          ids=["dft", "idft"])
@@ -309,7 +328,30 @@ def test_transform_bitwise_equals_np_fft(n, transform, numpy_fft):
         assert transform(grid, u, c, out=out) is out
         assert out.tobytes() == want, kind
         assert c.count == 2
+        for own in _in_place_copies(u):
+            assert transform(grid, own, c, out=own) is own
+            assert own.tobytes() == want, kind
+        assert c.count == 4
         assert np.array_equal(u, kept)
+
+
+@pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+@pytest.mark.parametrize("dtype, writeable, error, words", [
+    (complex, False, ValueError, "output array is read-only"),
+    (float, True, TypeError, "Cannot cast ufunc"),  # numpy's UFuncTypeError
+], ids=["read-only", "float64"])
+def test_a_transform_that_raises_is_not_counted(grid32, rng, transform, dtype, writeable,
+                                               error, words):
+    """The gufunc refuses a read-only or a real ``out`` when called; such a
+    call counted one FFT that never ran."""
+    u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    out = np.zeros(32, dtype=dtype)
+    out.flags.writeable = writeable
+    c = FftCounter()
+    with pytest.raises(error, match=words):
+        transform(grid32, u, c, out=out)
+    assert c.count == 0
+    assert not out.any()
 
 
 @pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
@@ -335,10 +377,15 @@ def test_stacked_transform_rows_bitwise_equal_single_calls(transform, n, k):
         out = np.empty((k, n), dtype=complex)
         assert transform(grid, stack, c, out=out) is out
         assert c.count == 2 * k, kind
-        for row, got_row, out_row in zip(stack, got, out):
+        owns = _in_place_copies(stack)
+        for own in owns:
+            assert transform(grid, own, c, out=own) is own
+        assert c.count == 4 * k, kind
+        for row, got_row, out_row, *own_rows in zip(stack, got, out, *owns):
             want = transform(grid, row).tobytes()
             assert got_row.tobytes() == want, kind
             assert out_row.tobytes() == want, kind
+            assert all(own_row.tobytes() == want for own_row in own_rows), kind
         assert np.array_equal(stack, kept)
 
 
