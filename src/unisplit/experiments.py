@@ -241,7 +241,7 @@ def conservation_run(
     both use that float.
     """
     for key, k in (("n_steps", n_steps), ("sample_every", sample_every)):
-        if not isinstance(k, (int, np.integer)) or k < 1:
+        if not _integer_in(k, 1, math.inf):
             raise ValueError(f"{key} must be an integer >= 1, got {k!r}")
     h = float(linalg.as_steps(h, 0))
     counter = spectral.FftCounter()

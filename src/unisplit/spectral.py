@@ -66,7 +66,8 @@ class SpectralGrid:
     ``==``, ``hash`` and ``repr`` read the fields alone.  The grid builds its
     read-only arrays once: the nodes ``x``, the wavenumbers ``k`` = 2*pi*m/L
     for m in {0,...,N/2-1, -N/2,...,-1} (the Nyquist mode keeps k = -pi*N/L;
-    k enters only through k^2), k^2/2 and the transforms' 0-d scale 1/sqrt(N).
+    k enters only through k^2), k^2/2, the transforms' 0-d scale 1/sqrt(N)
+    and the shape (N,) that the input checks compare with.
     """
 
     n: int = 256
@@ -74,8 +75,10 @@ class SpectralGrid:
     x_max: float = 8.0
 
     def __post_init__(self):
-        if self.n < 2 or self.n & (self.n - 1):
-            raise ValueError(f"N must be a power of two, got {self.n}")
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
+            raise ValueError(f"N must be a power of two, got {n}")
+        object.__setattr__(self, "n", int(n))  # fftfreq wraps -N/2 for an unsigned N
         if self.x_max <= self.x_min:
             raise ValueError("empty interval")
         with np.errstate(over="ignore"):  # checked here, not warned
@@ -89,6 +92,7 @@ class SpectralGrid:
             a.flags.writeable = False
         for name, a in zip(("x", "k", "_half_k2", "_scale"), (x, k, half_k2, scale)):
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "_shape", (self.n,))
 
     @property
     def length(self) -> float:
@@ -113,7 +117,7 @@ class SpectralGrid:
 def _check_length(grid: SpectralGrid, u, stack: bool = False) -> np.ndarray:
     """``u`` as a complex array of shape (N,), or also (K, N) if ``stack``."""
     v = np.asarray(u, dtype=complex)
-    if v.shape != (grid.n,) and not (stack and v.ndim == 2 and v.shape[1] == grid.n):
+    if v.shape != grid._shape and not (stack and v.ndim == 2 and v.shape[1] == grid.n):
         raise linalg.DimensionError(f"expected length {grid.n}, got {v.shape}")
     return v
 
@@ -124,7 +128,7 @@ def _check_potential(grid: SpectralGrid, v_pot) -> np.ndarray:
     complex256 phases; a complex or string V is numpy's same-kind
     TypeError, since H = A + B is Hermitian only for a real V."""
     v = np.asarray(v_pot)
-    if v.shape != (grid.n,):
+    if v.shape != grid._shape:
         raise linalg.DimensionError(f"expected a potential of shape ({grid.n},), "
                                     f"got {v.shape}")
     return v.astype(float, casting="same_kind", copy=False)
@@ -134,12 +138,12 @@ def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
                out: np.ndarray | None) -> np.ndarray:
     v = np.asarray(u, dtype=complex)
     # one comparison for a plain state: a step makes two calls per A-factor
-    rows = 1 if v.shape == (grid.n,) else len(_check_length(grid, v, True))
+    rows = 1 if v.shape == grid._shape else len(_check_length(grid, v, True))
     if out is None:
         out = np.empty_like(v)
-    elif out.shape != v.shape:
+    elif out is not v and out.shape != v.shape:  # the input itself has its shape
         raise linalg.DimensionError(f"out must have shape {v.shape}, got {out.shape}")
-    gufunc(v, grid._scale, out=out)
+    gufunc(v, grid._scale, out)
     if counter is not None:  # only once the transform has run
         counter.count += rows
     return out
@@ -264,6 +268,9 @@ def split_step(
     per A-factor.  The step works in one array of its own, a copy of ``u``:
     each FFT and multiply of an A-factor, and a B-factor's multiply, runs in
     place there, so no transform first copies its input into its ``out``.
+    Each such call (an NB11s6 step makes 45) gets its ``out`` by position,
+    which numpy parses faster than a keyword, and the loop reads
+    ``np.multiply`` and the overflow threshold from locals.
 
     The phases of all factors are built once per (scheme, grid, h, values
     of ``v_pot``), and only the most recent such set is kept:
@@ -309,17 +316,18 @@ def split_step(
         h = linalg.as_steps(h, 0)[()]
     phases = _factor_phases(scheme, grid, h, v_pot.tobytes())
     bound = float(np.vdot(state, state).real) * _NORM2_MARGIN
+    multiply, safe = np.multiply, _NORM2_SAFE  # looked up once per step, not per factor
     for op, c, phase, gain in phases:
         if op == "A":
-            dft(grid, state, counter, out=state)
-            np.multiply(phase, state, out=state)
-            idft(grid, state, counter, out=state)
+            dft(grid, state, counter, state)
+            multiply(phase, state, state)
+            idft(grid, state, counter, state)
         else:
-            np.multiply(state, phase, out=state)
+            multiply(state, phase, state)
         bound *= gain
-        if not bound <= _NORM2_SAFE:
+        if not bound <= safe:
             n2 = float(np.vdot(state, state).real)
-            if not n2 <= _NORM2_SAFE:
+            if not n2 <= safe:
                 peak = float(np.max(np.abs(state)))
                 if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
                     raise linalg.NumericalError(

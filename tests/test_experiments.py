@@ -538,16 +538,23 @@ def test_conservation_run_refuses_a_nonfinite_observable(pt64):
 
 @pytest.mark.parametrize("key, value", [
     ("sample_every", 0), ("sample_every", -2), ("sample_every", 2.5),
-    ("n_steps", -3), ("n_steps", 0), ("n_steps", 6.0)])
+    ("n_steps", -3), ("n_steps", 0), ("n_steps", 6.0),
+    ("n_steps", True), ("sample_every", True), ("n_steps", np.True_),
+    ("sample_every", np.True_)])
 def test_conservation_run_refuses_a_run_length_below_one_or_not_an_integer(
-        pt64, key, value):
+        pt64, monkeypatch, key, value):
     """``sample_every`` = 0 raised ZeroDivisionError, -2 sampled every second
-    step, and ``n_steps`` = -3 or 0 returned a series with no rows."""
+    step, ``n_steps`` = -3 or 0 returned a series with no rows, and a bool
+    ``n_steps`` of True ran one step (``sample_every`` = True sampled every
+    step).  Each is refused before any step."""
     grid, v, _, _, _ = pt64
+    steps = []
+    monkeypatch.setattr(spectral, "split_step", lambda *args: steps.append(args))
     lengths = {"n_steps": 6, "sample_every": 1, key: value}
-    with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1, got "):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1, got {value!r}$"):
         conservation_run(schemes.get_scheme("strang"), grid, v,
                          spectral.initial_gaussian(grid), 0.1, **lengths)
+    assert steps == []
 
 
 @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -0.1])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -91,6 +92,44 @@ def test_grid_scale_is_a_read_only_0d_float64_array(n):
     assert scale.tobytes() == np.reciprocal(np.sqrt(n, dtype=np.float64)).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         scale[()] = 1.0
+
+
+@pytest.mark.parametrize("n", [2, 64, 256])
+def test_grid_keeps_its_shape_beside_the_fields(n):
+    """The grid keeps (N,) for the input checks, also after
+    ``dataclasses.replace``; ``==``, ``hash`` and ``repr`` read the fields
+    alone."""
+    grid = SpectralGrid(n=n)
+    wide = dataclasses.replace(grid, x_max=24.0)
+    doubled = dataclasses.replace(grid, n=2 * n)
+    assert grid._shape == wide._shape == (n,) and doubled._shape == (2 * n,)
+    assert [f.name for f in dataclasses.fields(grid)] == ["n", "x_min", "x_max"]
+    for g in (grid, wide, doubled):
+        assert g == SpectralGrid(g.n, g.x_min, g.x_max) != dataclasses.replace(g, x_min=-9.0)
+        assert hash(g) == hash((g.n, g.x_min, g.x_max))
+        assert repr(g) == f"SpectralGrid(n={g.n}, x_min={g.x_min}, x_max={g.x_max})"
+
+
+@pytest.mark.parametrize("n", [256.0, np.float64(256), True, np.True_, "256", 256 + 0j, None],
+                         ids=["float", "float64", "True", "numpy_True", "str", "complex",
+                              "None"])
+def test_a_grid_size_that_is_not_an_integer_is_refused(n):
+    """256.0 and np.float64(256) raised ``TypeError: unsupported operand
+    type(s) for &``, and True was refused only as less than 2."""
+    with pytest.raises(ValueError, match=re.escape(f"N must be a power of two, got {n}")):
+        SpectralGrid(n=n)
+
+
+@pytest.mark.parametrize("n", [np.int64(64), np.uint16(64), np.uint64(64)],
+                         ids=["int64", "uint16", "uint64"])
+def test_a_numpy_integer_grid_size_is_read_as_an_int(n):
+    """An unsigned N gave wavenumbers of -N/2 wrapped around in
+    ``np.fft.fftfreq``; every integer N now builds the grid of its int."""
+    grid, plain = SpectralGrid(n=n), SpectralGrid(n=64)
+    assert type(grid.n) is int and repr(grid) == repr(plain)
+    assert grid == plain and hash(grid) == hash(plain) and grid._shape == plain._shape
+    for name in ("x", "k", "_half_k2", "_scale"):
+        assert getattr(grid, name).tobytes() == getattr(plain, name).tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])
@@ -268,6 +307,51 @@ def test_split_step_bitwise_equals_uncached_loop(pt64, scheme):
                 _run(_reference_split_step, scheme, grid, v, h, 60)
 
 
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """The (name, input, out) of each ``spectral.dft``/``idft`` call made
+    through the module.  perfbench's trace counts FFTs at these two
+    functions, so a caller that ran the gufuncs directly would otherwise
+    fail only its ``fft_crosscheck``."""
+    calls = []
+
+    def counting(name):
+        transform = getattr(spectral, name)
+
+        def counted(g, w, counter=None, out=None):
+            calls.append((name, w, out))
+            return transform(g, w, counter, out)
+        return counted
+
+    for name in ("dft", "idft"):
+        monkeypatch.setattr(spectral, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+def test_split_step_transforms_by_dft_and_idft_in_its_own_array(pt64, transform_calls,
+                                                                 scheme):
+    """Each A-factor is one ``dft`` and one ``idft`` call, with the step's
+    one array as input and ``out``, and the counter holds the calls made."""
+    grid, v = pt64[:2]
+    calls = transform_calls
+    c = FftCounter()
+    state = split_step(scheme, grid, v, initial_gaussian(grid), 0.1, c)
+    a_factors = sum(f.op == "A" for f in scheme.factors)
+    assert [name for name, _, _ in calls] == ["dft", "idft"] * a_factors
+    assert all(w is state and out is state for _, w, out in calls)
+    assert c.count == len(calls) == 2 * a_factors
+
+
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["state", "stack"])
+def test_observables_transforms_by_one_dft_call(pt64, transform_calls, rows):
+    grid, v = pt64[:2]
+    u = np.broadcast_to(initial_gaussian(grid), (*rows, grid.n))
+    for calls_made in (1, 2):
+        observables(grid, v, u)
+        assert [name for name, _, _ in transform_calls] == ["dft"] * calls_made
+
+
 def test_split_step_copies_its_input(pt64, rng):
     grid, v, _, _, _ = pt64
     s = schemes.get_scheme("NB5s4")
@@ -333,6 +417,49 @@ def test_transform_bitwise_equals_np_fft(n, transform, numpy_fft):
             assert own.tobytes() == want, kind
         assert c.count == 4
         assert np.array_equal(u, kept)
+
+
+@pytest.mark.parametrize("n", [2, 32, 256, 2**12])
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["state", "stack"])
+@pytest.mark.parametrize("transform, numpy_fft", [(dft, np.fft.fft), (idft, np.fft.ifft)],
+                         ids=["dft", "idft"])
+def test_out_given_by_position_equals_out_by_keyword(n, rows, transform, numpy_fft):
+    """``out`` as the fourth argument is the ``out=`` keyword: the same array
+    is returned, with the bits of ``np.fft``, into another array and in
+    place, and the counter grows by the same rows."""
+    grid = SpectralGrid(n=n)
+    for kind, u in _transform_inputs(n, rows).items():
+        want = numpy_fft(u, norm="ortho").tobytes()
+        by_key, by_position = FftCounter(), FftCounter()
+        outs = []
+        for c, call in ((by_key, lambda w, o: transform(grid, w, by_key, out=o)),
+                        (by_position, lambda w, o: transform(grid, w, by_position, o))):
+            other = np.empty(u.shape, dtype=complex)
+            assert call(u, other) is other
+            for own in _in_place_copies(u):
+                assert call(own, own) is own
+                outs.append(own)
+            outs.append(other)
+        assert all(out.tobytes() == want for out in outs), kind
+        assert by_key.count == by_position.count == 3 * math.prod(rows), kind
+
+
+@pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
+@pytest.mark.parametrize("u_shape, out_shape", [
+    ((32,), (16,)), ((32,), (64,)), ((32,), (1, 32)), ((3, 32), (3, 16)), ((3, 32), (4, 32)),
+    ((3, 32), (32,)),
+], ids=str)
+def test_an_out_of_another_shape_given_by_position_is_refused(grid32, rng, transform,
+                                                             u_shape, out_shape):
+    """Only the input itself skips the comparison of shapes; another array
+    given by position is checked as ``out=`` is."""
+    u = rng.standard_normal(u_shape) + 1j * rng.standard_normal(u_shape)
+    out = np.full(out_shape, 7.0 + 7.0j)
+    c = FftCounter()
+    with pytest.raises(linalg.DimensionError, match="out must have shape"):
+        transform(grid32, u, c, out)
+    assert np.all(out == 7.0 + 7.0j)
+    assert c.count == 0
 
 
 @pytest.mark.parametrize("transform", [dft, idft], ids=["dft", "idft"])
