@@ -162,6 +162,8 @@ def _resolve(raw: dict) -> dict:
         cfg["grid"] = _grid(raw, form)
     if exp == "CONSERVATION" and len(cfg["h_values"]) != 1:
         raise ConfigError(f"CONSERVATION runs one h; h_values has {cfg['h_values']}")
+    if "t_final" in cfg and any(math.isinf(cfg["t_final"] / h) for h in cfg["h_values"]):
+        raise ConfigError(f"t_final / h is not finite for h in {cfg['h_values']}")
     return cfg
 
 

@@ -60,9 +60,9 @@ class MatrixClassSpec:
     def __post_init__(self):
         if not isinstance(self.matrix_class, MatrixClass):
             raise ValueError(f"unknown matrix class {self.matrix_class!r}")
-        if not _integer_in(self.n, 2, math.inf):
+        if not linalg.integer_in(self.n, 2, math.inf):
             raise ValueError(f"dimension must be at least 2 and an integer, got {self.n!r}")
-        if not _integer_in(self.seed, 0, 2**64 - 1):
+        if not linalg.integer_in(self.seed, 0, 2**64 - 1):
             raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
         mult = self.multiplicities
         if not self.matrix_class.name.startswith("MULTIPLE_EIGS"):
@@ -72,15 +72,10 @@ class MatrixClassSpec:
             return
         mult = tuple((self.n // 2, self.n - self.n // 2) if mult is None else mult)
         object.__setattr__(self, "multiplicities", mult)
-        if not all(_integer_in(k, 1, math.inf) for k in mult):
+        if not all(linalg.integer_in(k, 1, math.inf) for k in mult):
             raise ValueError(f"multiplicities {mult} must all be integers at least 1")
         if sum(mult) != self.n:
             raise ValueError(f"multiplicities {mult} do not sum to n={self.n}")
-
-
-def _integer_in(k, low, high) -> bool:
-    """Whether ``k`` is an int or numpy integer, not a bool, in [low, high]."""
-    return not isinstance(k, bool) and isinstance(k, (int, np.integer)) and low <= k <= high
 
 
 def _rng(spec: MatrixClassSpec, substream: int) -> np.random.Generator:
@@ -236,14 +231,16 @@ def conservation_run(
     ``_BLOCK_BYTES`` bytes) that one stacked ``observables`` call evaluates
     when full and at the end, and whose rows one ``extend`` appends; each
     row has the bits of a single call.  ``n_steps`` and ``sample_every`` are
-    integers >= 1, or a ValueError, and ``h`` is read as a float by
-    ``linalg.as_steps(h, 0)``, both before any step; the steps and ``t``
-    both use that float.
+    integers >= 1, or a ValueError, ``h`` is read as a float by
+    ``linalg.as_steps(h, 0)`` and ``u0`` must be one state, all before any
+    FFT; the steps and ``t`` both use that float.
     """
     for key, k in (("n_steps", n_steps), ("sample_every", sample_every)):
-        if not _integer_in(k, 1, math.inf):
+        if not linalg.integer_in(k, 1, math.inf):
             raise ValueError(f"{key} must be an integer >= 1, got {k!r}")
     h = float(linalg.as_steps(h, 0))
+    if np.ndim(u0) != 1:  # observables would take a stack
+        raise linalg.DimensionError(f"expected length {grid.n}, got {np.shape(u0)}")
     counter = spectral.FftCounter()
     obs0 = spectral.observables(grid, v_pot, u0)
     mass0, energy0 = float(obs0["mass"]), float(obs0["energy"])

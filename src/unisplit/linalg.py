@@ -43,18 +43,25 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-# not in __all__: the benchmark's tracer would time each call as a layer
+# not in __all__, nor is integer_in: the benchmark's tracer would time each call as a layer
 def as_steps(h, ndim: int) -> np.ndarray:
     """``h`` as float64 with ``ndim`` dimensions (0: a step size, 1: a grid),
-    every value finite and > 0.  A complex ``h`` is a TypeError, a value
-    outside that range a ValueError and then another shape a DimensionError."""
-    a = np.asarray(h).astype(float, casting="same_kind")
+    every value finite and > 0.  A complex or bool ``h`` is a TypeError, a
+    value out of range a ValueError and then another shape a DimensionError."""
+    if (a := np.asarray(h)).dtype == bool:  # its cast would read True as 1.0
+        raise TypeError(f"h must be a number, not a bool, got {h!r}")
+    a = a.astype(float, casting="same_kind")
     if not (np.isfinite(a) & (a > 0.0)).all():
         raise ValueError(f"h must be finite and > 0, got {h!r}")
     if a.ndim != ndim:
         raise DimensionError(f"h must be {('a scalar', 'a 1-D grid')[ndim]}, "
                              f"got shape {a.shape}")
     return a
+
+
+def integer_in(k, low, high) -> bool:
+    """Whether ``k`` is an int or numpy integer, not a bool, in [low, high]."""
+    return not isinstance(k, bool) and isinstance(k, (int, np.integer)) and low <= k <= high
 
 
 def expm(m) -> np.ndarray:

@@ -105,6 +105,8 @@ def step_matrix(scheme: SplittingScheme, a, b, h) -> np.ndarray:
     would not: the BLAS picks its kernel by size).  The result is the
     transposed view of T, a fresh writeable array.
     """
+    if np.asarray(h).dtype == bool:  # the float cast would read True as 1.0
+        raise TypeError(f"h must be a number, not a bool, got {h!r}")
     split = _split(a, b)
     h_arr = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h_arr.ndim > 1:

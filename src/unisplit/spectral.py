@@ -54,7 +54,7 @@ _NORM2_MARGIN = 1.0 + 1e-9
 
 @dataclass
 class FftCounter:
-    """Per-run transform counter; dft and idft count one FFT per row."""
+    """Per-run transform counter; ``split_step`` adds two per A-factor."""
 
     count: int = 0
 
@@ -76,7 +76,7 @@ class SpectralGrid:
 
     def __post_init__(self):
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
+        if not linalg.integer_in(n, 2, math.inf) or n & (n - 1):
             raise ValueError(f"N must be a power of two, got {n}")
         object.__setattr__(self, "n", int(n))  # fftfreq wraps -N/2 for an unsigned N
         if self.x_max <= self.x_min:
@@ -134,31 +134,26 @@ def _check_potential(grid: SpectralGrid, v_pot) -> np.ndarray:
     return v.astype(float, casting="same_kind", copy=False)
 
 
-def _transform(gufunc, grid: SpectralGrid, u, counter: FftCounter | None,
-               out: np.ndarray | None) -> np.ndarray:
+def _transform(gufunc, grid: SpectralGrid, u, out: np.ndarray | None) -> np.ndarray:
     v = np.asarray(u, dtype=complex)
-    # one comparison for a plain state: a step makes two calls per A-factor
-    rows = 1 if v.shape == grid._shape else len(_check_length(grid, v, True))
+    if v.shape != grid._shape:  # one comparison for a plain state
+        _check_length(grid, v, True)
     if out is None:
         out = np.empty_like(v)
     elif out is not v and out.shape != v.shape:  # the input itself has its shape
         raise linalg.DimensionError(f"out must have shape {v.shape}, got {out.shape}")
     gufunc(v, grid._scale, out)
-    if counter is not None:  # only once the transform has run
-        counter.count += rows
     return out
 
 
-def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
-        out: np.ndarray | None = None) -> np.ndarray:
-    """Unitary forward DFT of a state (N,), or of each row of a stack
-    (K, N); increments ``counter``, if given, by one per row.
+def dft(grid: SpectralGrid, u, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary forward DFT of a state (N,), or of each row of a stack (K, N).
 
     A stack is one gufunc call, and each of its rows has the bits of the
     call on that row alone.  With ``out`` (a complex array of the input's
     shape, or the input itself, which is cheapest: the gufunc otherwise first
     copies the input into ``out``) the result is written there and ``out`` is
-    returned; the bits are the same.  ``counter`` grows once the call has run.
+    returned; the bits are the same.
 
     The transform calls the pocketfft gufunc that ``np.fft.fft`` itself ends
     in (numpy >= 2.0 implements ``np.fft`` as these gufuncs), with the scale
@@ -173,17 +168,15 @@ def dft(grid: SpectralGrid, u, counter: FftCounter | None = None,
     anything is written.  ``scipy.fft`` is not used: its bits differ from
     ``np.fft``'s at N = 2*4^k.
     """
-    return _transform(_pocketfft_umath.fft, grid, u, counter, out)
+    return _transform(_pocketfft_umath.fft, grid, u, out)
 
 
-def idft(grid: SpectralGrid, u, counter: FftCounter | None = None,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """Unitary inverse DFT of a state or of each row of a stack; increments
-    ``counter``, if given, by one per row.
+def idft(grid: SpectralGrid, u, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary inverse DFT of a state or of each row of a stack.
 
     Stacks, ``out`` and the transform are as for :func:`dft`.
     """
-    return _transform(_pocketfft_umath.ifft, grid, u, counter, out)
+    return _transform(_pocketfft_umath.ifft, grid, u, out)
 
 
 def pt_potential(
@@ -265,12 +258,14 @@ def split_step(
 
     A-factor with coefficient c: u <- idft(exp(-i h c k^2/2) * dft(u));
     B-factor: u <- exp(-i h c V(x)) * u  (B = -V diagonal).  Costs two FFTs
-    per A-factor.  The step works in one array of its own, a copy of ``u``:
-    each FFT and multiply of an A-factor, and a B-factor's multiply, runs in
-    place there, so no transform first copies its input into its ``out``.
-    Each such call (an NB11s6 step makes 45) gets its ``out`` by position,
-    which numpy parses faster than a keyword, and the loop reads
-    ``np.multiply`` and the overflow threshold from locals.
+    per A-factor, which it adds to ``counter``, if given, once they have run,
+    so a step that raises has counted the FFTs it made.  The step works in
+    one array of its own, a copy of ``u``: each FFT and multiply of an
+    A-factor, and a B-factor's multiply, runs in place there, so no
+    transform first copies its input into its ``out``.  Each such call (an
+    NB11s6 step makes 45) gets its ``out`` by position, which numpy parses
+    faster than a keyword, and the loop reads ``np.multiply`` and the
+    overflow threshold from locals.
 
     The phases of all factors are built once per (scheme, grid, h, values
     of ``v_pot``), and only the most recent such set is kept:
@@ -319,9 +314,11 @@ def split_step(
     multiply, safe = np.multiply, _NORM2_SAFE  # looked up once per step, not per factor
     for op, c, phase, gain in phases:
         if op == "A":
-            dft(grid, state, counter, state)
+            dft(grid, state, state)
             multiply(phase, state, state)
-            idft(grid, state, counter, state)
+            idft(grid, state, state)
+            if counter is not None:
+                counter.count += 2
         else:
             multiply(state, phase, state)
         bound *= gain

@@ -282,6 +282,15 @@ def test_nonpositive_run_length_rejected(tmp_path, capsys, field, value):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("experiment", ["CONSERVATION", "EFFICIENCY"])
+def test_a_t_final_over_h_beyond_the_float_range_is_refused(tmp_path, capsys, experiment):
+    """t_final / h of inf raised an uncaught OverflowError from the step
+    count's ``round``; it is an invalid config, and nothing is written."""
+    raw = {"experiment": experiment, "schemes": ["strang"], "grid": {"n": 16},
+           "h_values": [1e-10], "t_final": 1e308}
+    _refused(tmp_path, capsys, cli.run(raw, out_dir=str(tmp_path)), "t_final / h")
+
+
 def test_efficiency_records_skipped_cells(tmp_path, capsys):
     raw = {
         "experiment": "EFFICIENCY",

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -570,6 +571,22 @@ def test_conservation_run_refuses_an_h_that_is_not_finite_and_positive(
         conservation_run(schemes.get_scheme("strang"), grid, v,
                          spectral.initial_gaussian(grid), h, 10)
     assert steps == []
+
+
+@pytest.mark.parametrize("rows", [(1,), (3,)], ids=str)
+def test_conservation_run_refuses_a_stacked_initial_state(pt64, monkeypatch, rows):
+    """A u0 of shape (1, N) or (K, N) raised numpy's "only 0-dimensional
+    arrays can be converted to Python scalars" from the initial mass; it is
+    refused as other functions of a state refuse one, before any FFT."""
+    grid, v, _, _, _ = pt64
+    calls = []
+    for name in ("dft", "split_step"):
+        monkeypatch.setattr(spectral, name, lambda *args, name=name: calls.append(name))
+    u0 = np.broadcast_to(spectral.initial_gaussian(grid), (*rows, grid.n))
+    with pytest.raises(linalg.DimensionError,
+                       match=rf"^expected length 64, got {re.escape(str(u0.shape))}$"):
+        conservation_run(schemes.get_scheme("strang"), grid, v, u0, 0.1, 10)
+    assert calls == []
 
 
 def test_conservation_run_takes_numpy_integers(pt64):

@@ -595,6 +595,34 @@ def test_an_h_of_the_wrong_shape_is_refused_before_any_work(
     assert capfd.readouterr().out == ""
 
 
+@pytest.mark.parametrize("h", [True, np.True_, np.array([True, True])],
+                         ids=["bool", "numpy_bool", "bool_array"])
+@pytest.mark.parametrize("case", [
+    lambda s, a, b, h: (empirical_order, s, a, b, h),
+    lambda s, a, b, h: (fit_loglog, h, [1e-3, 1e-4]),
+    lambda s, a, b, h: (spectral.pt_empirical_order, s, *pt16()[:2], h),
+    lambda s, a, b, h: (experiments.dh_sweep, s, a, b, h),
+    lambda s, a, b, h: (reversibility_report, s, a, b, h),
+    lambda s, a, b, h: (spectral.split_step, s, *pt16(), h),
+    lambda s, a, b, h: (experiments.conservation_run, s, *pt16(), h, 3),
+    lambda s, a, b, h: (step_matrix, s, a, b, h),
+], ids=["empirical_order", "fit_loglog", "pt_empirical_order", "dh_sweep",
+        "reversibility_report", "split_step", "conservation_run", "step_matrix"])
+def test_a_bool_h_is_refused_before_any_work(sym_split, case, h):
+    """A bool h, alone or as an array, is a TypeError before any step,
+    step matrix, split record, dense H or FFT.  Before, its cast read True
+    as 1.0: ``split_step`` took the step at h = 1.0, ``conservation_run``
+    recorded t = 1, 2, 3 and ``step_matrix`` built S at h = 1.0.
+    ``step_matrix`` takes a complex or negative h, but not a bool.
+    ``tests/test_public_api.py`` checks that every public function that
+    takes an h has a case here."""
+    _, a, b = sym_split
+    call, *args = case(schemes.get_scheme("S31"), a, b, h)
+    with pytest.raises(TypeError, match=r"^h must be a number, not a bool, got "):
+        without_calls(("step_matrix", "_split", "split_step", "build_dense_hamiltonian",
+                       "dft"), call, *args)
+
+
 def test_reversibility_report_of_two_h_is_a_dimension_error(sym_split):
     """``[h, -h]`` of a two-entry h is a 2-D h, which ``step_matrix``
     refuses, not S_{h0} paired with S_{-h1}."""

@@ -140,6 +140,13 @@ def test_every_public_function_of_a_real_h_refuses_one_of_the_wrong_shape():
     assert not missing, f"no wrong-shape case for {missing}"
 
 
+def test_every_public_function_of_a_real_h_refuses_a_bool_one():
+    """Every public function of a real h has a case in the bool-h refusal
+    test, so that it does not read True as a step of 1.0."""
+    missing = _h_functions_without_a_case("test_a_bool_h_is_refused")
+    assert not missing, f"no bool-h refusal case for {missing}"
+
+
 def test_every_public_function_of_a_potential_refuses_a_complex_one():
     """Every public function of a potential ``v_pot`` has a case in the
     complex- and string-V refusal test, so that it reads V by the one
